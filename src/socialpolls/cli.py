@@ -216,13 +216,15 @@ def _positive(kind):
     return convert
 
 
-def _load_instance(path):
+def _load_instance(path, parse=None):
+    """Read a file, the CLI's only reader, and parse it as an instance
+    document, or with `parse` when given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise PollInputError("cannot read %s: %s" % (path, exc))
-    return parse_instance(text)
+    return (parse or parse_instance)(text)
 
 
 def _emit(lines, output):
@@ -414,24 +416,18 @@ def _cmd_td(args):
     return 0
 
 
-def _read_text(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise PollInputError("cannot read %s: %s" % (path, exc))
-
-
 def _cmd_gen(args):
     if args.generator == "partition":
         p = reductions.parse_partition_numbers(args.numbers.replace(",", " "))
         inst = reductions.gen_partition_wpw(p, big_b=args.big_b)
     elif args.generator == "hitting-set":
-        h = reductions.parse_hitting_sets(_read_text(args.sets), budget=args.budget)
+        h = _load_instance(
+            args.sets, lambda text: reductions.parse_hitting_sets(text, budget=args.budget)
+        )
         params = reductions.ReductionParams(big_b=args.big_b, big_d=args.big_d)
         inst = reductions.gen_hitting_set_upw(h, params)
     elif args.generator == "sat":
-        f = reductions.parse_dimacs(_read_text(args.dimacs))
+        f = _load_instance(args.dimacs, reductions.parse_dimacs)
         inst = reductions.gen_sat_upw(f, preprocess=not args.no_preprocess)
     elif args.generator == "family":
         if args.lengths:
@@ -471,10 +467,6 @@ def _add_common(sub, decision=False):
     sub.add_argument(
         "--max-table", type=_positive("--max-table"),
         default=DEFAULT_MAX_TABLE, help="DP live table guard",
-    )
-    sub.add_argument(
-        "--threads", type=_positive("--threads"), default=1,
-        help="solver thread budget; results never depend on it",
     )
     sub.add_argument(
         "--cross-check", action="store_true",

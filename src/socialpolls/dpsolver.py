@@ -22,6 +22,11 @@ arbitrary weights and any number of candidates.
 An agent's voting rule is enforced once, at the forget node that drops
 it: by then every friend has been inserted below, so `s` and `a` are
 final. A guard bounds the number of live table entries.
+
+The key invariant is written once, in `_keys_compatible`. The sweep
+asserts it on every stored slice, so `python -O` skips it; the public
+`mutually_compatible` runs it on one key given over labels, then adds
+the voting rule for agents whose friends all lie in the bag.
 """
 
 from __future__ import annotations
@@ -39,6 +44,63 @@ from .model import (
 DEFAULT_MAX_TABLE = 1 << 24
 
 
+def _agent_tables(inst):
+    """Per-agent (prefs, top, alts, friends): sorted preferred candidate
+    indexes, the top index, the non-top preferred indexes, friend sets."""
+    cidx = inst.candidate_index
+    prefs = tuple(tuple(sorted(cidx[c] for c in ag.preferred)) for ag in inst.agents)
+    top = tuple(cidx[ag.top] for ag in inst.agents)
+    alts = tuple(tuple(c for c in row if c != t) for row, t in zip(prefs, top))
+    return prefs, top, alts, tuple(frozenset(b) for b in inst.adjacency)
+
+
+def _keys_compatible(tables, bag, items, counted):
+    """Could each key in `items`, ((v, D, s, a), payload) pairs over
+    `bag` in index form, come from a partial poll? Payloads are count
+    vectors to check too when `counted`. The voting rule of fully-seen
+    agents is left out: leaf and insert nodes legitimately hold votes
+    that the matching forget node prunes."""
+    prefs, _, alts, friends = tables
+    bagset = frozenset(bag)
+    pos = {y: k for k, y in enumerate(bag)}
+    nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
+    n = len(prefs)
+    for (v, dag, s, a), payload in items:
+        for u, w in dag:
+            if u == w or u not in bagset or w not in bagset or (w, u) in dag:
+                return False
+        for u, w in dag:
+            for w2, z in dag:
+                if w2 == w and z != u and (u, z) not in dag:
+                    return False
+        for k, x in enumerate(bag):
+            if v[k] not in prefs[x]:
+                return False
+            if any(q < 0 for q in s[k]) or sum(s[k]) > a[k]:
+                return False
+            if a[k] > len(friends[x]):
+                return False
+            ing = []
+            for y in nbr_in[k]:
+                if (y, x) in dag:
+                    ing.append(y)
+                elif (x, y) not in dag:
+                    return False
+            full = len(nbr_in[k]) == len(friends[x])
+            if a[k] < len(ing) or (full and a[k] != len(ing)):
+                return False
+            for j, c in enumerate(alts[x]):
+                seen = sum(1 for y in ing if v[pos[y]] == c)
+                if s[k][j] < seen or (full and s[k][j] != seen):
+                    return False
+        if counted:
+            if any(q < 0 for q in payload) or sum(payload) > n:
+                return False
+            if any(q < v.count(c) for c, q in enumerate(payload)):
+                return False
+    return True
+
+
 class _Engine:
     """Shared sweep for both programs. `mode` is "count" or "margin";
     margin mode maximizes weight(d) - weight(c) style values for the
@@ -54,21 +116,10 @@ class _Engine:
         self.trace = trace
         self.stats = stats
         self.m = len(inst.candidates)
-        cidx = inst.candidate_index
-        self.prefs = tuple(
-            tuple(sorted(cidx[c] for c in ag.preferred)) for ag in inst.agents
-        )
-        self.p1 = tuple(cidx[ag.top] for ag in inst.agents)
-        self.alts = tuple(
-            tuple(c for c in self.prefs[x] if c != self.p1[x])
-            for x in range(inst.n_agents)
-        )
-        self.altpos = tuple(
-            {c: k for k, c in enumerate(self.alts[x])}
-            for x in range(inst.n_agents)
-        )
+        self.tables = _agent_tables(inst)
+        self.prefs, self.p1, self.alts, self.nbr = self.tables
+        self.altpos = tuple({c: k for k, c in enumerate(alt)} for alt in self.alts)
         self.weight = tuple(ag.weight for ag in inst.agents)
-        self.nbr = tuple(frozenset(b) for b in graph_of(inst).adjacency)
 
     def _value(self, x, c):
         # contribution of agent x voting candidate index c
@@ -108,57 +159,6 @@ class _Engine:
         else:
             yield from slice_.items()
 
-    def _slice_compatible(self, nd, sl):
-        # Debug-build invariant over every stored key. The voting rule
-        # itself is not checked for fully-seen agents: leaf and insert
-        # nodes legitimately hold votes that the matching forget node
-        # prunes, so only the arithmetic predicates apply here.
-        bag = nd.bag
-        bagset = frozenset(bag)
-        pos = {y: k for k, y in enumerate(bag)}
-        nbr_in = tuple(
-            tuple(y for y in bag if y in self.nbr[x]) for x in bag
-        )
-        n = self.inst.n_agents
-        for (v, dag, s, a), payload in self._items(sl):
-            for u, w in dag:
-                if u == w or u not in bagset or w not in bagset:
-                    return False
-                if (w, u) in dag:
-                    return False
-            for u, w in dag:
-                for w2, z in dag:
-                    if w2 == w and z != u and (u, z) not in dag:
-                        return False
-            for k, x in enumerate(bag):
-                if v[k] not in self.prefs[x]:
-                    return False
-                if any(q < 0 for q in s[k]) or sum(s[k]) > a[k]:
-                    return False
-                if a[k] > len(self.nbr[x]):
-                    return False
-                ing = []
-                for y in nbr_in[k]:
-                    if (y, x) in dag:
-                        ing.append(y)
-                    elif (x, y) not in dag:
-                        return False
-                full = len(nbr_in[k]) == len(self.nbr[x])
-                if a[k] < len(ing) or (full and a[k] != len(ing)):
-                    return False
-                for j, c in enumerate(self.alts[x]):
-                    seen = sum(1 for y in ing if v[pos[y]] == c)
-                    if s[k][j] < seen or (full and s[k][j] != seen):
-                        return False
-            if self.mode == "count":
-                if any(q < 0 for q in payload) or sum(payload) > n:
-                    return False
-                for c in range(self.m):
-                    held = sum(1 for k in range(len(bag)) if v[k] == c)
-                    if payload[c] < held:
-                        return False
-        return True
-
     def run(self):
         slices = {}
         live = 0
@@ -178,9 +178,9 @@ class _Engine:
                 right = slices.pop(nd.children[1])
                 live -= len(left) + len(right)
                 sl = self._join(nd, left, right)
-            assert self._slice_compatible(nd, sl), (
-                "incompatible key stored at node %d" % i
-            )
+            assert _keys_compatible(
+                self.tables, nd.bag, self._items(sl), self.mode == "count"
+            ), "incompatible key stored at node %d" % i
             slices[i] = sl
             live += len(sl)
             if live > self.max_table:
@@ -395,64 +395,29 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
             if c not in known:
                 raise PollInputError("unknown candidate %r" % (c,))
 
-    for u, w in arcs:
-        if u == w or (w, u) in arcs:
-            return False
-    for u, w in arcs:
-        for w2, z in arcs:
-            if w2 == w and z != u and (u, z) not in arcs:
-                return False
-    adjacency = [frozenset(row) for row in graph_of(inst).adjacency]
+    tables = _agent_tables(inst)
+    _, top, alts, friends = tables
+    v = tuple(known[votes[x]] for x in bag)
+    rows = []
     for x in bag:
-        ag = inst.agents[x]
-        if votes[x] not in ag.preferred:
+        labels = [inst.candidates[c] for c in alts[x]]
+        if not set(influence[x]) <= set(labels):
             return False
-        row = influence[x]
-        if any(c == ag.top or c not in ag.preferred for c in row):
-            return False
-        if any(q < 0 for q in row.values()) or sum(row.values()) > anterior[x]:
-            return False
-        if anterior[x] > len(adjacency[x]):
-            return False
-        in_friends = []
-        for y in bag:
-            if y in adjacency[x]:
-                if (y, x) in arcs:
-                    in_friends.append(y)
-                elif (x, y) not in arcs:
-                    return False
-        if anterior[x] < len(in_friends):
-            return False
-        if bagset >= adjacency[x]:
-            if anterior[x] != len(in_friends):
+        rows.append(tuple(influence[x].get(c, 0) for c in labels))
+    ante = tuple(anterior[x] for x in bag)
+    key = (v, arcs, tuple(rows), ante)
+    cvec = None if counts is None else tuple(counts.get(c, 0) for c in inst.candidates)
+    if not _keys_compatible(tables, bag, [(key, cvec)], counts is not None):
+        return False
+    # the voting rule, for agents whose whole neighborhood is in the bag
+    for k, x in enumerate(bag):
+        if not friends[x] <= bagset:
+            continue
+        if v[k] == top[x]:
+            if any(2 * q > ante[k] for q in rows[k]):
                 return False
-            for c in ag.preferred:
-                if c == ag.top:
-                    continue
-                seen = sum(1 for y in in_friends if votes[y] == c)
-                if row.get(c, 0) != seen:
-                    return False
-            if votes[x] == ag.top:
-                if any(2 * q > anterior[x] for q in row.values()):
-                    return False
-            elif 2 * row.get(votes[x], 0) <= anterior[x]:
-                return False
-        else:
-            for c in ag.preferred:
-                if c == ag.top:
-                    continue
-                seen = sum(1 for y in in_friends if votes[y] == c)
-                if row.get(c, 0) < seen:
-                    return False
-    if counts is not None:
-        if any(q < 0 for q in counts.values()):
+        elif 2 * rows[k][alts[x].index(v[k])] <= ante[k]:
             return False
-        if sum(counts.values()) > inst.n_agents:
-            return False
-        for c in known:
-            held = sum(1 for x in bag if votes[x] == c)
-            if counts.get(c, 0) < held:
-                return False
     return True
 
 

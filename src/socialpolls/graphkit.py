@@ -183,14 +183,22 @@ class TreeDecomposition:
 
 
 def validate_td(g, td):
-    """Check that `td` is a tree decomposition of `g`; raise otherwise."""
+    """Check that `td` is a tree decomposition of `g`; raise otherwise.
+
+    Runs in time linear in the total bag size: each vertex's bags are
+    listed once, and since the bag graph is a tree, the bags holding a
+    vertex are connected exactly when the tree edges inside them number
+    one less than the bags.
+    """
     b = len(td.bags)
     if b == 0:
         raise PollInputError("a decomposition needs at least one bag")
+    holding = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (isinstance(v, int) and 0 <= v < g.n):
                 raise PollInputError("bag %d holds unknown vertex %r" % (i, v))
+            holding[v].append(i)
     nbrs = [[] for _ in range(b)]
     for i, j in td.tree_edges:
         if i == j or not (0 <= i < b and 0 <= j < b):
@@ -209,27 +217,18 @@ def validate_td(g, td):
                 stack.append(y)
     if len(seen) != b:
         raise PollInputError("bag graph is not connected")
-    covered = set()
-    for bag in td.bags:
-        covered |= bag
-    if covered != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - covered)
-        raise PollInputError("vertex %d is not in any bag" % missing[0])
-    for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            raise PollInputError("edge (%d, %d) is not inside any bag" % (u, v))
     for v in range(g.n):
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        hold = set(holding)
-        seen = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != hold:
+        if not holding[v]:
+            raise PollInputError("vertex %d is not in any bag" % v)
+    for u, v in g.edges:
+        if set(holding[u]).isdisjoint(holding[v]):
+            raise PollInputError("edge (%d, %d) is not inside any bag" % (u, v))
+    inside = [0] * g.n
+    for i, j in td.tree_edges:
+        for v in td.bags[i] & td.bags[j]:
+            inside[v] += 1
+    for v in range(g.n):
+        if inside[v] != len(holding[v]) - 1:
             raise PollInputError("bags of vertex %d are not connected" % v)
 
 

@@ -14,6 +14,11 @@ relative order. Every voting order therefore induces an acyclic
 orientation of the friendship graph, and two orders with the same
 orientation produce identical outcomes. `simulate_orientation` exploits
 this directly.
+
+The rule itself is written once, in `_cast_votes`. `choice` runs it for
+one agent, `simulate_order` for a permutation, and `_simulate_arcs` for
+an orientation; the latter backs both `simulate_orientation` and the
+brute-force oracle's per-orientation replay.
 """
 
 from __future__ import annotations
@@ -202,6 +207,36 @@ class Simulation:
     scores: ScoreFunction
 
 
+def _cast_votes(inst, order, preceding, votes):
+    """The voting rule: the one tally-and-majority loop in the package.
+
+    Agents vote in `order`; `preceding[x]` lists the friends of `x` that
+    vote before it and `votes` (indexable by agent id) holds their
+    labels by then. Each vote is written into `votes`; the returned list
+    holds the weighted scores of these voters, in candidate order.
+    """
+    scores = [0] * len(inst.candidates)
+    cidx = inst.candidate_index
+    agents = inst.agents
+    for x in order:
+        ag = agents[x]
+        prior = preceding[x]
+        vote = ag.top
+        total = len(prior)
+        if total:
+            tally = {}
+            for y in prior:
+                c = votes[y]
+                tally[c] = tally.get(c, 0) + 1
+            for c, k in tally.items():
+                if 2 * k > total and c in ag.preferred:
+                    vote = c
+                    break
+        votes[x] = vote
+        scores[cidx[vote]] += ag.weight
+    return scores
+
+
 def choice(inst, x, prior):
     """Vote of agent `x` given the votes `prior` of already-voted friends.
 
@@ -217,76 +252,44 @@ def choice(inst, x, prior):
             raise PollInputError(
                 "agent %r in prior is not a friend of agent %d" % (y, x)
             )
-    ag = inst.agents[x]
-    total = len(prior)
-    if total:
-        tally = {}
-        for c in prior.values():
-            tally[c] = tally.get(c, 0) + 1
-        for c, k in tally.items():
-            if 2 * k > total and c in ag.preferred:
-                return c
-    return ag.top
+    votes = dict(prior)
+    _cast_votes(inst, (x,), {x: tuple(prior)}, votes)
+    return votes[x]
 
 
-def _run(inst, sequence):
-    """Shared simulation core: `sequence` is any valid processing order
-    in which every agent appears after all friends meant to precede it,
-    together with a per-agent list of preceding friends."""
-    order, preceding = sequence
-    votes = [None] * len(inst.agents)
-    scores = [0] * len(inst.candidates)
-    cidx = inst.candidate_index
-    agents = inst.agents
-    for x in order:
-        ag = agents[x]
-        prior = preceding[x]
-        vote = None
-        total = len(prior)
-        if total:
-            tally = {}
-            for y in prior:
-                c = votes[y]
-                tally[c] = tally.get(c, 0) + 1
-            for c, k in tally.items():
-                if 2 * k > total and c in ag.preferred:
-                    vote = c
-                    break
-        if vote is None:
-            vote = ag.top
-        votes[x] = vote
-        scores[cidx[vote]] += ag.weight
+def _simulation(inst, votes, scores):
     return Simulation(
         votes=tuple(votes),
         scores=ScoreFunction(inst.candidates, tuple(scores)),
     )
 
 
-def simulate_order(inst, order):
-    """Run the poll with agents voting in the given permutation."""
-    order = tuple(order)
+def _positions(inst, order):
+    """Position of each agent in `order`, which must be a permutation."""
     n = len(inst.agents)
     if len(order) != n or sorted(order) != list(range(n)):
         raise PollInputError("order is not a permutation of the %d agents" % n)
     position = [0] * n
     for pos, x in enumerate(order):
         position[x] = pos
+    return position
+
+
+def simulate_order(inst, order):
+    """Run the poll with agents voting in the given permutation."""
+    order = tuple(order)
+    position = _positions(inst, order)
     preceding = [
-        [y for y in inst.adjacency[x] if position[y] < position[x]]
-        for x in range(n)
+        [y for y in nbrs if position[y] < position[x]]
+        for x, nbrs in enumerate(inst.adjacency)
     ]
-    return _run(inst, (order, preceding))
+    votes = [None] * len(order)
+    return _simulation(inst, votes, _cast_votes(inst, order, preceding, votes))
 
 
 def orientation_of(inst, order):
     """Acyclic orientation induced by an order: edges point earlier to later."""
-    order = tuple(order)
-    n = len(inst.agents)
-    if len(order) != n or sorted(order) != list(range(n)):
-        raise PollInputError("order is not a permutation of the %d agents" % n)
-    position = [0] * n
-    for pos, x in enumerate(order):
-        position[x] = pos
+    position = _positions(inst, tuple(order))
     return frozenset(
         (u, v) if position[u] < position[v] else (v, u) for u, v in inst.edges
     )
@@ -312,6 +315,33 @@ def _toposort(n, arcs_out, indegree):
     return out
 
 
+def _simulate_arcs(inst, arcs):
+    """(votes, scores) for an orientation given as (earlier, later) arcs,
+    or None when the arcs hold a directed cycle.
+
+    No validation: every agent's preceding friends are its in-neighbors,
+    and any topological order does, so agents are taken breadth first.
+    """
+    n = len(inst.agents)
+    preceding = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in arcs:
+        preceding[v].append(u)
+        succ[u].append(v)
+        indeg[v] += 1
+    order = [x for x in range(n) if indeg[x] == 0]
+    for x in order:
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                order.append(y)
+    if len(order) != n:
+        return None
+    votes = [None] * n
+    return votes, _cast_votes(inst, order, preceding, votes)
+
+
 def simulate_orientation(inst, orientation):
     """Run the poll for any order extending this acyclic orientation.
 
@@ -320,7 +350,6 @@ def simulate_orientation(inst, orientation):
     in-neighbors, so the outcome matches `simulate_order` on every
     linear extension.
     """
-    n = len(inst.agents)
     arcs = list(orientation)
     covered = set()
     for u, v in arcs:
@@ -333,17 +362,10 @@ def simulate_orientation(inst, orientation):
     if covered != inst.edges:
         missing = sorted(inst.edges - covered)[0]
         raise PollInputError("edge %r left unoriented" % (missing,))
-    arcs_out = [[] for _ in range(n)]
-    preceding = [[] for _ in range(n)]
-    indegree = [0] * n
-    for u, v in arcs:
-        arcs_out[u].append(v)
-        preceding[v].append(u)
-        indegree[v] += 1
-    order = _toposort(n, arcs_out, indegree)
-    if order is None:
+    run = _simulate_arcs(inst, arcs)
+    if run is None:
         raise PollInputError("orientation contains a directed cycle")
-    return _run(inst, (order, preceding))
+    return _simulation(inst, *run)
 
 
 def winners(s):

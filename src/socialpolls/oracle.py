@@ -8,9 +8,11 @@ by pointwise sums. A guard bounds the product of per-component
 orientation counts; exceeding it raises ResourceLimitError instead of
 running forever.
 
+Each enumerated orientation is replayed by `model._simulate_arcs`, which
+runs the package's single copy of the voting rule (`model._cast_votes`).
 Witness orders are rebuilt from one representative orientation per
 achievable score vector: the smallest topological order of the combined
-orientation, re-simulated before being reported.
+orientation, re-simulated by `simulate_order` before being reported.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .model import (
     PollInputError,
     ResourceLimitError,
     ScoreFunction,
+    _simulate_arcs,
     _toposort,
     simulate_order,
     winners,
@@ -65,61 +68,12 @@ def _component_outcomes(inst, g, comp, budget, stats):
                 "orientation guard exceeded at component containing agent %d"
                 % ids[0]
             )
-        sim = _simulate_arcs(mini, sub, arcs)
-        key = sim
+        key = tuple(_simulate_arcs(mini, arcs)[1])
         if key not in outcomes:
             outcomes[key] = tuple((back[u], back[v]) for u, v in arcs)
     if stats is not None:
         stats["orientations"] = stats.get("orientations", 0) + count
     return outcomes, count
-
-
-def _simulate_arcs(inst, g, arcs):
-    """Score tuple for an orientation given as arc tuples of `g`.
-
-    Lean core of `simulate_orientation` for trusted enumerated input:
-    skips validation and the heap, any topological order does.
-    """
-    n = g.n
-    preceding = [[] for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in arcs:
-        preceding[v].append(u)
-        succ[u].append(v)
-        indeg[v] += 1
-    order = [x for x in range(n) if indeg[x] == 0]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                order.append(y)
-    votes = [None] * n
-    scores = [0] * len(inst.candidates)
-    cidx = inst.candidate_index
-    agents = inst.agents
-    for x in order:
-        ag = agents[x]
-        prior = preceding[x]
-        vote = None
-        total = len(prior)
-        if total:
-            tally = {}
-            for y in prior:
-                c = votes[y]
-                tally[c] = tally.get(c, 0) + 1
-            for c, k in tally.items():
-                if 2 * k > total and c in ag.preferred:
-                    vote = c
-                    break
-        if vote is None:
-            vote = ag.top
-        votes[x] = vote
-        scores[cidx[vote]] += ag.weight
-    return tuple(scores)
 
 
 def _outcome_table(inst, max_orientations, stats):

@@ -333,10 +333,6 @@ def gen_unw_necessary_check(h, params=None):
     return gen_hitting_set_upw(h, params), "b"
 
 
-# Misspelled alias kept so callers using the original name still resolve.
-gen_unw_neccessary_check = gen_unw_necessary_check
-
-
 def _normalize_cnf(f):
     """Drop duplicate literals and tautological clauses; reject empty ones."""
     clauses = []

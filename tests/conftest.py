@@ -1,15 +1,75 @@
 """Shared helpers and small independent oracles.
 
 The oracles here deliberately use different algorithms than the
-package: subset sums as a bitset, satisfiability by truth table,
-hitting sets by subset enumeration, DAG counting by filtering all
-digraphs. Tests compare the package against these, never against
-itself.
+package: the voting rule by `Counter` over labels, subset sums as a
+bitset, satisfiability by truth table, hitting sets by subset
+enumeration, DAG counting by filtering all digraphs. Tests compare the
+package against these, never against itself.
 """
 
 import itertools
+from collections import Counter
+
+import pytest
+from hypothesis import strategies as st
 
 from socialpolls.graphkit import graph_of, heuristic_td, make_nice
+from socialpolls.model import AgentPrefs, Instance
+
+
+def pytest_configure(config):
+    # the DP's table-key checker runs only inside an assert
+    if not __debug__:
+        raise pytest.UsageError(
+            "the tests need assertions on: python -O strips the DP sweep's "
+            "table-key check, so run them without -O"
+        )
+
+
+@st.composite
+def small_instances(draw, max_agents=6):
+    """Polls of 1..max_agents agents over 1-3 candidates, with one
+    preferred-set size per poll, weights 1-3 and any friendship edges."""
+    candidates = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    size = draw(st.integers(1, len(candidates)))
+    n = draw(st.integers(1, max_agents))
+    agents = []
+    for _ in range(n):
+        prefs = draw(st.permutations(candidates))[:size]
+        agents.append(AgentPrefs(draw(st.sampled_from(prefs)), prefs,
+                                 draw(st.integers(1, 3))))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    return Instance(candidates, tuple(agents), edges, candidates[0])
+
+
+def naive_vote(agent, prior_labels):
+    """The voting rule as stated: copy a preferred candidate that holds a
+    strict majority of the friends who voted before, else vote top."""
+    tally = Counter(prior_labels)
+    total = sum(tally.values())
+    for c in agent.preferred:
+        if 2 * tally[c] > total:
+            return c
+    return agent.top
+
+
+def naive_scores(inst, order):
+    """Score tuple, in candidate order, of the agents voting in `order`."""
+    votes = {}
+    for x in order:
+        prior = [
+            votes[y]
+            for e in inst.edges
+            if x in e
+            for y in e
+            if y != x and y in votes
+        ]
+        votes[x] = naive_vote(inst.agents[x], prior)
+    scores = Counter()
+    for x, c in votes.items():
+        scores[c] += inst.agents[x].weight
+    return tuple(scores[c] for c in inst.candidates)
 
 
 def nice_td_of(inst):

@@ -119,6 +119,21 @@ class TestTreeDecomposition:
                     {(0, 1), (1, 2)},
                 ),
             )
+        # vertex 0 sits at nodes 0, 1 and 3 of the bag path 0-1-2-3: its
+        # bags share one tree edge, where a connected set of three needs two
+        with pytest.raises(PollInputError, match="bags of vertex 0 are not connected"):
+            validate_td(
+                g,
+                TreeDecomposition(
+                    (
+                        frozenset([0, 1]),
+                        frozenset([0, 1, 2]),
+                        frozenset([1, 2]),
+                        frozenset([0, 2]),
+                    ),
+                    {(0, 1), (1, 2), (2, 3)},
+                ),
+            )
         # tree edges form a cycle
         with pytest.raises(PollInputError):
             validate_td(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_vote, small_instances
 from socialpolls.model import (
     AgentPrefs,
     Instance,
@@ -112,6 +113,18 @@ class TestChoice:
         inst = p3_gadget()
         with pytest.raises(PollInputError):
             choice(inst, 0, {2: "c"})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_rule_on_random_priors(self, data):
+        inst = data.draw(small_instances())
+        x = data.draw(st.integers(0, inst.n_agents - 1))
+        prior = {
+            y: data.draw(st.sampled_from(inst.candidates))
+            for y in inst.adjacency[x]
+            if data.draw(st.booleans())
+        }
+        assert choice(inst, x, prior) == naive_vote(inst.agents[x], prior.values())
 
 
 class TestSimulate:

@@ -1,11 +1,13 @@
 """Brute-force solvers: achievable scores, decisions, witnesses, guards."""
 
+import itertools
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_scores, small_instances
 from socialpolls.model import (
     AgentPrefs,
     Instance,
@@ -30,6 +32,15 @@ def score_set(inst, **kw):
 
 
 class TestAchievable:
+    @given(small_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_rule_over_all_orders(self, inst):
+        expected = {
+            naive_scores(inst, order)
+            for order in itertools.permutations(range(inst.n_agents))
+        }
+        assert score_set(inst) == expected
+
     def test_two_agent_edge(self):
         # whoever votes first drags the other along
         assert score_set(two_agent_edge()) == {(2, 0), (0, 2)}

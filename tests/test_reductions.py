@@ -21,7 +21,6 @@ from socialpolls.reductions import (
     gen_partition_wpw,
     gen_random,
     gen_sat_upw,
-    gen_unw_neccessary_check,
     gen_unw_necessary_check,
     parse_dimacs,
     parse_hitting_sets,
@@ -238,7 +237,6 @@ class TestHittingSetReduction:
         inst, target = gen_unw_necessary_check(h, params)
         assert target == "b"
         assert inst == gen_hitting_set_upw(h, params)
-        assert gen_unw_neccessary_check is gen_unw_necessary_check
 
 
 class TestCnfInput:
