@@ -244,18 +244,25 @@ def _score_key(inst, sf):
     return tuple(sf.of(c) for c in inst.candidates)
 
 
-def _ntd_of(inst):
-    td = heuristic_td(graph_of(inst))
+def _ntd_of(inst, td=None):
+    """The min-fill decomposition (`td` when already built) and its nice form."""
+    if td is None:
+        td = heuristic_td(graph_of(inst))
     return td, make_nice(td)
 
 
-def _auto_method(inst, question):
-    width = heuristic_td(graph_of(inst)).width
-    if question == "necessary":
-        return "dp" if width <= 3 else "bf"
-    if inst.is_unweighted() and width <= 3 and len(inst.candidates) <= 3:
-        return "dp"
-    return "bf"
+def _method_of(inst, args, question):
+    """(method, decomposition or None). Under `--method auto` the DP is
+    picked when the min-fill width allows it, and the decomposition that
+    measured the width is handed on so that the DP does not build it
+    again."""
+    if args.method != "auto":
+        return args.method, None
+    td = heuristic_td(graph_of(inst))
+    if td.width <= 3 and (question == "necessary" or (
+            inst.is_unweighted() and len(inst.candidates) <= 3)):
+        return "dp", td
+    return "bf", td
 
 
 def _dump_lines(trace):
@@ -297,28 +304,28 @@ def _cmd_simulate(args):
     return 0
 
 
-def _run_scores(inst, method, args, trace):
+def _run_scores(inst, method, args, trace, td=None):
     if method == "bf":
         stats = {}
         found = achievable_scores_bf(inst, args.max_orientations, stats=stats)
         return found, ["orientations: %d" % stats["orientations"]]
     stats = {}
-    td, ntd = _ntd_of(inst)
+    td, ntd = _ntd_of(inst, td)
     found = achievable_scores_dp(inst, ntd, args.max_table, trace=trace, stats=stats)
     return found, ["width: %d" % td.width, "table-entries: %d" % stats["entries"]]
 
 
 def _cmd_scores(args):
     inst = _load_instance(args.instance)
-    method = args.method if args.method != "auto" else _auto_method(inst, "scores")
+    method, td = _method_of(inst, args, "scores")
     trace = [] if args.dump_table else None
     start = time.monotonic()
-    found, extra = _run_scores(inst, method, args, trace)
+    found, extra = _run_scores(inst, method, args, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
     lines = ["question: scores", "method: %s" % method]
     if args.cross_check:
         other = "dp" if method == "bf" else "bf"
-        against, _ = _run_scores(inst, other, args, None)
+        against, _ = _run_scores(inst, other, args, None, td)
         if against != found:
             lines.append("cross-check: mismatch")
             _emit(lines, args.output)
@@ -335,7 +342,7 @@ def _cmd_scores(args):
     return 0
 
 
-def _decide(inst, question, candidate, method, args, trace):
+def _decide(inst, question, candidate, method, args, trace, td=None):
     """Returns (decision, order or None, extra report lines)."""
     stats = {}
     if method == "bf":
@@ -346,7 +353,7 @@ def _decide(inst, question, candidate, method, args, trace):
             ok, cex = necessary_winner_bf(inst, candidate, args.max_orientations, stats)
             order = cex.order if cex else None
         return ok, order, ["orientations: %d" % stats["orientations"]]
-    td, ntd = _ntd_of(inst)
+    td, ntd = _ntd_of(inst, td)
     extra = ["width: %d" % td.width]
     if question == "possible":
         ok = possible_winner_dp(inst, ntd, candidate, args.max_table, trace, stats)
@@ -364,10 +371,10 @@ def _cmd_decision(args, question):
     candidate = args.candidate
     if candidate not in inst.candidates:
         raise PollInputError("candidate %r is not declared" % candidate)
-    method = args.method if args.method != "auto" else _auto_method(inst, question)
+    method, td = _method_of(inst, args, question)
     trace = [] if args.dump_table else None
     start = time.monotonic()
-    ok, order, extra = _decide(inst, question, candidate, method, args, trace)
+    ok, order, extra = _decide(inst, question, candidate, method, args, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
     lines = [
         "question: %s" % question,
@@ -377,7 +384,7 @@ def _cmd_decision(args, question):
     status = 0
     if args.cross_check:
         other = "dp" if method == "bf" else "bf"
-        ok2, _, _ = _decide(inst, question, candidate, other, args, None)
+        ok2, _, _ = _decide(inst, question, candidate, other, args, None, td)
         if ok2 != ok:
             lines.append("cross-check: mismatch")
             _emit(lines, args.output)

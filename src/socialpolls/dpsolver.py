@@ -47,9 +47,8 @@ DEFAULT_MAX_TABLE = 1 << 24
 def _agent_tables(inst):
     """Per-agent (prefs, top, alts, friends): sorted preferred candidate
     indexes, the top index, the non-top preferred indexes, friend sets."""
-    cidx = inst.candidate_index
-    prefs = tuple(tuple(sorted(cidx[c] for c in ag.preferred)) for ag in inst.agents)
-    top = tuple(cidx[ag.top] for ag in inst.agents)
+    prefs = tuple(row[1] for row in inst.ballots)
+    top = tuple(row[0] for row in inst.ballots)
     alts = tuple(tuple(c for c in row if c != t) for row, t in zip(prefs, top))
     return prefs, top, alts, tuple(frozenset(b) for b in inst.adjacency)
 

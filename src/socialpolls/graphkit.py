@@ -101,45 +101,54 @@ def induced_subgraph(g, vertices):
 
 
 def enumerate_acyclic_orientations(g):
-    """Yield every acyclic orientation of `g` as a tuple of arcs.
+    """Iterate over every acyclic orientation of `g` as a tuple of arcs.
 
-    Edges are directed one at a time in sorted order; a direction is
-    taken only when the reverse path does not already exist, so exactly
-    the acyclic orientations appear, each once. Trees admit all 2^m
-    assignments.
+    Edges are directed one at a time in sorted order, (u, v) tried
+    before (v, u), depth first, so the orientations come in that
+    lexicographic order and consecutive ones share the longest possible
+    prefix. A direction a -> b is taken only when b does not already
+    reach a, so exactly the acyclic orientations appear, each once.
+    Reachability is held as one bitmask per vertex (a Python int, the
+    vertex itself included), saved per level so that backtracking just
+    drops the deeper levels. A forest (m = n - #components) has no cycle
+    to close: all 2^m assignments are acyclic and come straight from a
+    product, without the test.
     """
     edges = sorted(g.edges)
-    m = len(edges)
-    succ = [set() for _ in range(g.n)]
-    arcs = []
+    choices = [((u, v), (v, u)) for u, v in edges]
+    if len(edges) == g.n - len(connected_components(g)):
+        return itertools.product(*choices)
+    return _acyclic_choices(g.n, choices)
 
-    def reaches(src, dst):
-        stack = [src]
-        seen = {src}
-        while stack:
-            x = stack.pop()
-            if x == dst:
-                return True
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
 
-    def extend(k):
-        if k == m:
+def _acyclic_choices(n, choices):
+    """Depth-first search over the edge directions in `choices`, one
+    level per edge, keeping a direction only when it closes no cycle."""
+    m = len(choices)
+    arcs = [None] * m
+    reach = [None] * m    # reach[k]: the bitmasks before edge k is directed
+    tried = [0] * m       # directions of edge k tried so far
+    reach[0] = [1 << x for x in range(n)]
+    k = 0
+    while k >= 0:
+        t = tried[k]
+        if t == 2:
+            k -= 1
+            continue
+        tried[k] = t + 1
+        a, b = arc = choices[k][t]
+        masks = reach[k]
+        into = masks[b]
+        if into >> a & 1:
+            continue
+        arcs[k] = arc
+        if k + 1 == m:
             yield tuple(arcs)
-            return
-        u, v = edges[k]
-        for a, b in ((u, v), (v, u)):
-            if not reaches(b, a):
-                succ[a].add(b)
-                arcs.append((a, b))
-                yield from extend(k + 1)
-                arcs.pop()
-                succ[a].remove(b)
-
-    return extend(0)
+            continue
+        bit = 1 << a
+        k += 1
+        reach[k] = [r | into if r & bit else r for r in masks]
+        tried[k] = 0
 
 
 def count_labeled_dags(t):

@@ -15,10 +15,15 @@ orientation of the friendship graph, and two orders with the same
 orientation produce identical outcomes. `simulate_orientation` exploits
 this directly.
 
-The rule itself is written once, in `_cast_votes`. `choice` runs it for
-one agent, `simulate_order` for a permutation, and `_simulate_arcs` for
-an orientation; the latter backs both `simulate_orientation` and the
-brute-force oracle's per-orientation replay.
+The rule itself is written once, in `_vote`, over candidate indexes:
+an agent's (top, preferred, weight) row comes from `Instance.ballots`
+and the votes of its preceding friends arrive as indexes. `choice`
+calls it for one agent after turning the labels of `prior` into
+indexes. `_cast_votes` calls it agent by agent along an order, for
+`simulate_order` (a permutation) and `simulate_orientation` (an
+acyclic orientation); `_simulation` turns the index votes back into
+labels. The brute-force oracle calls `_vote` directly, once per vote
+its incremental replay casts.
 """
 
 from __future__ import annotations
@@ -180,6 +185,16 @@ class Instance:
     def candidate_index(self):
         return {c: i for i, c in enumerate(self.candidates)}
 
+    @cached_property
+    def ballots(self):
+        """Per agent (top, preferred, weight), candidates as indexes; the
+        preferred indexes are sorted."""
+        cidx = self.candidate_index
+        return tuple(
+            (cidx[ag.top], tuple(sorted(cidx[c] for c in ag.preferred)), ag.weight)
+            for ag in self.agents
+        )
+
     def neighbors(self, x):
         self._check_agent(x)
         return self.adjacency[x]
@@ -207,33 +222,35 @@ class Simulation:
     scores: ScoreFunction
 
 
-def _cast_votes(inst, order, preceding, votes):
+def _vote(top, preferred, prior):
     """The voting rule: the one tally-and-majority loop in the package.
 
-    Agents vote in `order`; `preceding[x]` lists the friends of `x` that
-    vote before it and `votes` (indexable by agent id) holds their
-    labels by then. Each vote is written into `votes`; the returned list
-    holds the weighted scores of these voters, in candidate order.
+    Candidates are indexes. `prior` lists the votes of the friends who
+    voted before the agent; the agent copies a `preferred` candidate
+    holding a strict majority of them, and votes `top` otherwise. At
+    most one candidate can hold a strict majority, so the order of
+    `preferred` does not matter.
+    """
+    total = len(prior)
+    for c in preferred:
+        if 2 * prior.count(c) > total:
+            return c
+    return top
+
+
+def _cast_votes(inst, order, preceding, votes):
+    """Agents vote in `order`; `preceding[x]` lists the friends of `x`
+    that vote before it, and `votes` (indexable by agent id) holds their
+    candidate indexes by then. Each vote is written into `votes`; the
+    returned list holds the weighted scores of these voters, in
+    candidate order.
     """
     scores = [0] * len(inst.candidates)
-    cidx = inst.candidate_index
-    agents = inst.agents
+    ballots = inst.ballots
     for x in order:
-        ag = agents[x]
-        prior = preceding[x]
-        vote = ag.top
-        total = len(prior)
-        if total:
-            tally = {}
-            for y in prior:
-                c = votes[y]
-                tally[c] = tally.get(c, 0) + 1
-            for c, k in tally.items():
-                if 2 * k > total and c in ag.preferred:
-                    vote = c
-                    break
-        votes[x] = vote
-        scores[cidx[vote]] += ag.weight
+        top, preferred, weight = ballots[x]
+        vote = votes[x] = _vote(top, preferred, [votes[y] for y in preceding[x]])
+        scores[vote] += weight
     return scores
 
 
@@ -252,14 +269,18 @@ def choice(inst, x, prior):
             raise PollInputError(
                 "agent %r in prior is not a friend of agent %d" % (y, x)
             )
-    votes = dict(prior)
-    _cast_votes(inst, (x,), {x: tuple(prior)}, votes)
-    return votes[x]
+    # a label outside the poll still counts towards the total
+    cidx = inst.candidate_index
+    top, preferred, _ = inst.ballots[x]
+    vote = _vote(top, preferred, [cidx.get(c, -1) for c in prior.values()])
+    return inst.candidates[vote]
 
 
 def _simulation(inst, votes, scores):
+    """Simulation from index votes and a score list."""
+    labels = inst.candidates
     return Simulation(
-        votes=tuple(votes),
+        votes=tuple(labels[c] for c in votes),
         scores=ScoreFunction(inst.candidates, tuple(scores)),
     )
 
@@ -315,33 +336,6 @@ def _toposort(n, arcs_out, indegree):
     return out
 
 
-def _simulate_arcs(inst, arcs):
-    """(votes, scores) for an orientation given as (earlier, later) arcs,
-    or None when the arcs hold a directed cycle.
-
-    No validation: every agent's preceding friends are its in-neighbors,
-    and any topological order does, so agents are taken breadth first.
-    """
-    n = len(inst.agents)
-    preceding = [[] for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in arcs:
-        preceding[v].append(u)
-        succ[u].append(v)
-        indeg[v] += 1
-    order = [x for x in range(n) if indeg[x] == 0]
-    for x in order:
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                order.append(y)
-    if len(order) != n:
-        return None
-    votes = [None] * n
-    return votes, _cast_votes(inst, order, preceding, votes)
-
-
 def simulate_orientation(inst, orientation):
     """Run the poll for any order extending this acyclic orientation.
 
@@ -362,10 +356,25 @@ def simulate_orientation(inst, orientation):
     if covered != inst.edges:
         missing = sorted(inst.edges - covered)[0]
         raise PollInputError("edge %r left unoriented" % (missing,))
-    run = _simulate_arcs(inst, arcs)
-    if run is None:
+    # any topological order will do, so agents are taken breadth first
+    n = len(inst.agents)
+    preceding = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in arcs:
+        preceding[v].append(u)
+        succ[u].append(v)
+        indeg[v] += 1
+    order = [x for x in range(n) if indeg[x] == 0]
+    for x in order:
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                order.append(y)
+    if len(order) != n:
         raise PollInputError("orientation contains a directed cycle")
-    return _simulation(inst, *run)
+    votes = [None] * n
+    return _simulation(inst, votes, _cast_votes(inst, order, preceding, votes))
 
 
 def winners(s):

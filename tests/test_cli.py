@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialpolls import cli
 from socialpolls.cli import main, parse_instance, render_instance
 from socialpolls.model import PollInputError, instance_union
 from socialpolls.reductions import (
@@ -224,6 +225,26 @@ class TestScoresCommand:
         assert code == 0
         assert "method: dp" in out
         assert "width: 1" in out
+
+    @pytest.mark.parametrize("question", [
+        ("scores",), ("possible", "--candidate", "a"),
+    ])
+    def test_auto_builds_the_decomposition_once(self, capsys, tmp_path,
+                                                monkeypatch, question):
+        calls = []
+        real = cli.heuristic_td
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(cli, "heuristic_td", counted)
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(capsys, *question, "--instance", path,
+                             "--method", "auto")
+        assert code == 0
+        assert "method: dp" in out
+        assert len(calls) == 1
 
     def test_auto_falls_back_to_bf_on_weights(self, capsys, tmp_path):
         path = save(tmp_path, p3_gadget())

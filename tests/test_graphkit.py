@@ -1,5 +1,7 @@
 """Graphs, orientation enumeration, DAG counting, tree decompositions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,55 @@ from socialpolls.reductions import gen_random
 
 def random_graph(seed, n, p):
     return graph_of(gen_random(seed, n, 2, edge_prob=p))
+
+
+def random_forest(seed, n):
+    """A forest on n vertices, relabeled at random: each vertex joins an
+    earlier one with probability 1/2, so several trees and isolated
+    vertices are common."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[rng.randrange(v)]) for v in range(1, n)
+             if rng.random() < 0.5]
+    return Graph(n, edges)
+
+
+def reference_orientations(g):
+    """The recursive enumerator: sorted edges, (u, v) tried before
+    (v, u), a direction kept unless the reverse path exists."""
+    edges = sorted(g.edges)
+    m = len(edges)
+    succ = [set() for _ in range(g.n)]
+    arcs = []
+
+    def reaches(src, dst):
+        stack = [src]
+        seen = {src}
+        while stack:
+            x = stack.pop()
+            if x == dst:
+                return True
+            for y in succ[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    def extend(k):
+        if k == m:
+            yield tuple(arcs)
+            return
+        u, v = edges[k]
+        for a, b in ((u, v), (v, u)):
+            if not reaches(b, a):
+                succ[a].add(b)
+                arcs.append((a, b))
+                yield from extend(k + 1)
+                arcs.pop()
+                succ[a].remove(b)
+
+    return extend(0)
 
 
 class TestGraph:
@@ -71,6 +122,29 @@ class TestOrientations:
         g = random_graph(seed, n, 0.5)
         got = {frozenset(a) for a in enumerate_acyclic_orientations(g)}
         assert got == brute_acyclic_orientations(g)
+
+    @given(st.integers(0, 10**6), st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.8]))
+    @settings(max_examples=80, deadline=None)
+    def test_order_matches_recursive_reference(self, seed, n, p):
+        g = random_graph(seed, n, p)
+        assert list(enumerate_acyclic_orientations(g)) == list(reference_orientations(g))
+
+    @given(st.integers(0, 10**6), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_forest_order_matches_recursive_reference(self, seed, n):
+        g = random_forest(seed, n)
+        got = list(enumerate_acyclic_orientations(g))
+        assert got == list(reference_orientations(g))
+        assert len(got) == 2 ** len(g.edges)
+
+    def test_forest_with_isolated_vertices(self):
+        # two trees and two isolated vertices: every assignment is acyclic
+        g = Graph(7, [(4, 0), (0, 2), (5, 1)])
+        got = list(enumerate_acyclic_orientations(g))
+        assert got == list(reference_orientations(g))
+        assert got[0] == ((0, 2), (0, 4), (1, 5))
+        assert got[-1] == ((2, 0), (4, 0), (5, 1))
+        assert list(enumerate_acyclic_orientations(Graph(3, []))) == [()]
 
 
 class TestDagCounts:
