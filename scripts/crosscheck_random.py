@@ -10,14 +10,13 @@ Usage:
 """
 
 import argparse
-import itertools
 import random
 import sys
 import time
 
 from socialpolls.dpsolver import (
     achievable_scores_dp,
-    max_margin_dp,
+    margins_dp,
     necessary_winner_dp,
 )
 from socialpolls.graphkit import graph_of, heuristic_td, make_nice
@@ -38,12 +37,12 @@ def check_unweighted(inst, ntd):
 
 def check_weighted(inst, ntd):
     mism = []
-    for d, c in itertools.permutations(inst.candidates, 2):
-        dp = max_margin_dp(inst, ntd, d, c)
-        bf = max_margin_bf(inst, d, c)
-        if dp != bf:
-            mism.append("margin(%s,%s): dp=%d bf=%d" % (d, c, dp, bf))
     for c in inst.candidates:
+        # one sweep gives the margins of every rival d against c
+        for d, dp in margins_dp(inst, ntd, c).items():
+            bf = max_margin_bf(inst, d, c)
+            if dp != bf:
+                mism.append("margin(%s,%s): dp=%d bf=%d" % (d, c, dp, bf))
         dp = necessary_winner_dp(inst, ntd, c)[0]
         bf = necessary_winner_bf(inst, c)[0]
         if dp != bf:

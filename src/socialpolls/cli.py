@@ -360,7 +360,8 @@ def _decide(inst, question, candidate, method, args, trace, td=None):
         extra.append("table-entries: %d" % stats["entries"])
         return ok, None, extra
     ok, offender = necessary_winner_dp(inst, ntd, candidate, args.max_table, trace, stats)
-    extra.append("table-entries: %d" % stats["entries"])
+    # a single-candidate poll has no rival, so no sweep runs
+    extra.append("table-entries: %d" % stats.get("entries", 0))
     if offender is not None:
         extra.append("offending-candidate: %s" % offender)
     return ok, None, extra

@@ -15,9 +15,13 @@ may still observe about the processed subtree:
 
 The achievable-scores program additionally tracks the per-candidate
 vote counts of the processed subtree; it requires unit weights because
-counts enter keys. The margin program replaces counts by one maximized
-value, the weighted score difference of a candidate pair, so it handles
-arbitrary weights and any number of candidates.
+counts enter keys. The margin program replaces counts by a payload with
+one maximized value per rival d of a candidate c, the weighted score
+difference score(d) - score(c), so it handles arbitrary weights and any
+number of candidates. The key set does not depend on the pair, and
+keys, transitions and the join's double-count correction are additive
+given the key, so each coordinate is the single-pair program and one
+sweep gives every margin against c.
 
 An agent's voting rule is enforced once, at the forget node that drops
 it: by then every friend has been inserted below, so `s` and `a` are
@@ -32,6 +36,7 @@ the voting rule for agents whose friends all lie in the bag.
 from __future__ import annotations
 
 import itertools
+from operator import add, sub
 
 from .graphkit import graph_of, validate_nice
 from .model import (
@@ -101,62 +106,55 @@ def _keys_compatible(tables, bag, items, counted):
 
 
 class _Engine:
-    """Shared sweep for both programs. `mode` is "count" or "margin";
-    margin mode maximizes weight(d) - weight(c) style values for the
-    candidate index pair `pair`."""
+    """Shared sweep for both programs. Payloads are int tuples. Without
+    `rivals` (count mode) the payload is the subtree's vote count per
+    candidate and is part of the key. With `rivals`, candidate indexes d
+    paired with the index `c` (margin mode), coordinate j of the payload
+    is the largest weighted score(rivals[j]) - score(c) over the subtree
+    states with that key, maximized per coordinate."""
 
-    def __init__(self, inst, ntd, mode, pair=None, max_table=DEFAULT_MAX_TABLE,
+    def __init__(self, inst, ntd, rivals=None, c=None, max_table=DEFAULT_MAX_TABLE,
                  trace=None, stats=None):
-        self.inst = inst
         self.ntd = ntd
-        self.mode = mode
-        self.pair = pair
+        self.counted = rivals is None
         self.max_table = max_table
         self.trace = trace
         self.stats = stats
-        self.m = len(inst.candidates)
+        m = len(inst.candidates)
         self.tables = _agent_tables(inst)
         self.prefs, self.p1, self.alts, self.nbr = self.tables
-        self.altpos = tuple({c: k for k, c in enumerate(alt)} for alt in self.alts)
-        self.weight = tuple(ag.weight for ag in inst.agents)
-
-    def _value(self, x, c):
-        # contribution of agent x voting candidate index c
-        if self.mode == "count":
-            return tuple(1 if k == c else 0 for k in range(self.m))
-        d, c0 = self.pair
-        return self.weight[x] * ((1 if c == d else 0) - (1 if c == c0 else 0))
-
-    def _combine(self, left, right):
-        if self.mode == "count":
-            return tuple(p + q for p, q in zip(left, right))
-        return left + right
-
-    def _subtract(self, total, part):
-        if self.mode == "count":
-            return tuple(p - q for p, q in zip(total, part))
-        return total - part
-
-    def _zero(self):
-        if self.mode == "count":
-            return (0,) * self.m
-        return 0
+        self.altpos = tuple({a: k for k, a in enumerate(alt)} for alt in self.alts)
+        # values[x][k]: the payload of agent x voting candidate index k,
+        # one shared row per weight
+        weights = {ag.weight for ag in inst.agents}
+        if self.counted:
+            unit = tuple(tuple(int(j == k) for j in range(m)) for k in range(m))
+            rows = dict.fromkeys(weights, unit)
+            self.zero = (0,) * m
+        else:
+            rows = {
+                w: tuple(tuple(w * ((k == d) - (k == c)) for d in rivals)
+                         for k in range(m))
+                for w in weights
+            }
+            self.zero = (0,) * len(rivals)
+        self.values = tuple(rows[ag.weight] for ag in inst.agents)
 
     def _add(self, slice_, key, payload):
-        if self.mode == "count":
-            slice_[key + (payload,)] = True
-        else:
-            old = slice_.get(key)
-            if old is None or payload > old:
-                slice_[key] = payload
+        if self.counted:
+            slice_[key + (payload,)] = payload
+            return
+        old = slice_.get(key)
+        if old is None:
+            slice_[key] = payload
+        elif old != payload:
+            slice_[key] = tuple(map(max, old, payload))
 
-    def _items(self, slice_):
-        # yields ((v, D, s, a), payload) in either mode
-        if self.mode == "count":
-            for key in slice_:
-                yield key[:4], key[4]
-        else:
-            yield from slice_.items()
+    @staticmethod
+    def _items(slice_):
+        # ((v, D, s, a), payload) pairs; count keys carry the payload last
+        for key, payload in slice_.items():
+            yield key[:4], payload
 
     def run(self):
         slices = {}
@@ -178,7 +176,7 @@ class _Engine:
                 live -= len(left) + len(right)
                 sl = self._join(nd, left, right)
             assert _keys_compatible(
-                self.tables, nd.bag, self._items(sl), self.mode == "count"
+                self.tables, nd.bag, self._items(sl), self.counted
             ), "incompatible key stored at node %d" % i
             slices[i] = sl
             live += len(sl)
@@ -199,13 +197,13 @@ class _Engine:
     def _leaf(self, nd):
         sl = {}
         if not nd.bag:
-            self._add(sl, ((), frozenset(), (), ()), self._zero())
+            self._add(sl, ((), frozenset(), (), ()), self.zero)
             return sl
         x = nd.bag[0]
         szero = (0,) * len(self.alts[x])
         for c in self.prefs[x]:
             key = ((c,), frozenset(), (szero,), (0,))
-            self._add(sl, key, self._value(x, c))
+            self._add(sl, key, self.values[x][c])
         return sl
 
     def _insert(self, nd, child):
@@ -213,60 +211,73 @@ class _Engine:
         bag = nd.bag
         px = bag.index(x)
         cbag = bag[:px] + bag[px + 1:]
-        pos = {y: k for k, y in enumerate(cbag)}
-        nbrx = self.nbr[x]
-        # per bag vertex: the admissible arc states toward x
-        options = [
-            ((1, 2) if y in nbrx else (0, 1, 2)) for y in cbag
-        ]
+        vals = self.values[x]
+        places_of = {}
         sl = {}
         for (cv, cd, cs, ca), payload in self._items(child):
-            preds = {y: set() for y in cbag}
-            succs = {y: set() for y in cbag}
-            for u, w in cd:
-                preds[w].add(u)
-                succs[u].add(w)
-            for states in itertools.product(*options):
-                ins = {y for y, st in zip(cbag, states) if st == 1}
-                outs = {y for y, st in zip(cbag, states) if st == 2}
-                # closure: ancestors of in-arcs point at x too, successors
-                # of out-arcs are reached from x, and every in/out pair is
-                # already related (which also keeps D acyclic)
-                if any(not preds[y] <= ins for y in ins):
-                    continue
-                if any(not succs[y] <= outs for y in outs):
-                    continue
-                if any((i2, o2) not in cd for i2 in ins for o2 in outs):
-                    continue
-                in_g = ins & nbrx
-                out_g = outs & nbrx
-                a_x = len(in_g)
-                votes_in = [cv[pos[y]] for y in in_g]
+            # the places of x depend on the child's DAG alone, and x's vote
+            # adds the same to the payload in every place
+            places = places_of.get(cd)
+            if places is None:
+                places = places_of[cd] = self._places(x, cbag, cd)
+            grown = [(c, tuple(map(add, payload, vals[c]))) for c in self.prefs[x]]
+            for in_pos, out_alt, arcs in places:
+                a_x = len(in_pos)
+                votes_in = [cv[k] for k in in_pos]
                 s_x = tuple(votes_in.count(c2) for c2 in self.alts[x])
-                arcs = frozenset(
-                    itertools.chain(
-                        cd, ((y, x) for y in ins), ((x, y) for y in outs)
-                    )
-                )
-                base_s = list(cs)
                 base_a = list(ca)
-                for y in out_g:
-                    base_a[pos[y]] += 1
-                for c in self.prefs[x]:
-                    new_s = list(base_s)
-                    for y in out_g:
-                        k = self.altpos[y].get(c)
-                        if k is not None:
-                            row = list(new_s[pos[y]])
-                            row[k] += 1
-                            new_s[pos[y]] = tuple(row)
+                for k, _ in out_alt:
+                    base_a[k] += 1
+                base_a.insert(px, a_x)
+                new_a = tuple(base_a)
+                for c, grown_payload in grown:
+                    new_s = list(cs)
+                    for k, altpos in out_alt:
+                        j = altpos.get(c)
+                        if j is not None:
+                            row = list(new_s[k])
+                            row[j] += 1
+                            new_s[k] = tuple(row)
                     new_s.insert(px, s_x)
-                    new_a = list(base_a)
-                    new_a.insert(px, a_x)
                     v = cv[:px] + (c,) + cv[px:]
-                    key = (v, arcs, tuple(new_s), tuple(new_a))
-                    self._add(sl, key, self._combine(payload, self._value(x, c)))
+                    self._add(sl, (v, arcs, tuple(new_s), new_a), grown_payload)
         return sl
+
+    def _places(self, x, cbag, cd):
+        """Each admissible place of x relative to the child's DAG `cd`:
+        (child positions of the friends before x, (child position,
+        `altpos` map) of the friends after x, the new DAG)."""
+        nbrx = self.nbr[x]
+        # per bag vertex: the admissible arc states toward x
+        options = [((1, 2) if y in nbrx else (0, 1, 2)) for y in cbag]
+        preds = {y: set() for y in cbag}
+        succs = {y: set() for y in cbag}
+        for u, w in cd:
+            preds[w].add(u)
+            succs[u].add(w)
+        places = []
+        for states in itertools.product(*options):
+            ins = {y for y, st in zip(cbag, states) if st == 1}
+            outs = {y for y, st in zip(cbag, states) if st == 2}
+            # closure: ancestors of in-arcs point at x too, successors
+            # of out-arcs are reached from x, and every in/out pair is
+            # already related (which also keeps D acyclic)
+            if any(not preds[y] <= ins for y in ins):
+                continue
+            if any(not succs[y] <= outs for y in outs):
+                continue
+            if any((i2, o2) not in cd for i2 in ins for o2 in outs):
+                continue
+            arcs = frozenset(
+                itertools.chain(cd, ((y, x) for y in ins), ((x, y) for y in outs))
+            )
+            places.append((
+                tuple(k for k, y in enumerate(cbag) if y in ins and y in nbrx),
+                tuple((k, self.altpos[y]) for k, y in enumerate(cbag)
+                      if y in outs and y in nbrx),
+                arcs,
+            ))
+        return places
 
     def _forget(self, nd, child):
         x = nd.vertex
@@ -274,6 +285,7 @@ class _Engine:
         px = child_bag.index(x)
         p1x = self.p1[x]
         altpos = self.altpos[x]
+        dags = {}
         sl = {}
         for (cv, cd, cs, ca), payload in self._items(child):
             c = cv[px]
@@ -289,7 +301,10 @@ class _Engine:
             v = cv[:px] + cv[px + 1:]
             s = cs[:px] + cs[px + 1:]
             a = ca[:px] + ca[px + 1:]
-            arcs = frozenset((u, w) for u, w in cd if u != x and w != x)
+            # reduce each distinct child DAG once; its entries share the result
+            arcs = dags.get(cd)
+            if arcs is None:
+                arcs = dags[cd] = frozenset((u, w) for u, w in cd if x not in (u, w))
             self._add(sl, (v, arcs, s, a), payload)
         return sl
 
@@ -316,26 +331,20 @@ class _Engine:
                 ov_a.append(len(friends_in))
                 votes = [v[pos[u]] for u in friends_in]
                 ov_s.append(tuple(votes.count(c2) for c2 in self.alts[x]))
-            if self.mode == "count":
-                dup = tuple(
-                    sum(1 for k, x in enumerate(bag) if v[k] == c)
-                    for c in range(self.m)
-                )
-            else:
-                dc, cc = self.pair
-                dup = sum(
-                    self.weight[x] * ((1 if v[k] == dc else 0) - (1 if v[k] == cc else 0))
-                    for k, x in enumerate(bag)
-                )
+            dup = self.zero
+            for k, x in enumerate(bag):
+                dup = tuple(map(add, dup, self.values[x][v[k]]))
+            # subtract the overlap from each right entry once, not per pair
+            rights = [
+                (tuple(tuple(map(sub, r2, r0)) for r2, r0 in zip(s2, ov_s)),
+                 tuple(map(sub, a2, ov_a)), tuple(map(sub, p2, dup)))
+                for s2, a2, p2 in rights
+            ]
             for s1, a1, p1 in lefts:
                 for s2, a2, p2 in rights:
-                    s = tuple(
-                        tuple(q1 + q2 - q0 for q1, q2, q0 in zip(r1, r2, r0))
-                        for r1, r2, r0 in zip(s1, s2, ov_s)
-                    )
-                    a = tuple(q1 + q2 - q0 for q1, q2, q0 in zip(a1, a2, ov_a))
-                    payload = self._subtract(self._combine(p1, p2), dup)
-                    self._add(sl, (v, d, s, a), payload)
+                    s = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(s1, s2))
+                    a = tuple(map(add, a1, a2))
+                    self._add(sl, (v, d, s, a), tuple(map(add, p1, p2)))
         return sl
 
 
@@ -428,11 +437,8 @@ def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, sta
             "the achievable-scores program requires an unweighted instance"
         )
     validate_nice(graph_of(inst), ntd)
-    engine = _Engine(inst, ntd, "count", max_table=max_table, trace=trace, stats=stats)
-    root = engine.run()
-    return frozenset(
-        ScoreFunction(inst.candidates, key[4]) for key in root
-    )
+    root = _Engine(inst, ntd, max_table=max_table, trace=trace, stats=stats).run()
+    return frozenset(ScoreFunction(inst.candidates, p) for p in root.values())
 
 
 def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
@@ -452,31 +458,39 @@ def max_margin_dp(inst, ntd, d, c, max_table=DEFAULT_MAX_TABLE, trace=None, stat
         if label not in inst.candidate_index:
             raise PollInputError("unknown candidate %r" % (label,))
     validate_nice(graph_of(inst), ntd)
-    return _margin(inst, ntd, d, c, max_table, trace, stats)
+    return _margins(inst, ntd, c, (d,), max_table, trace, stats)[d]
 
 
-def _margin(inst, ntd, d, c, max_table, trace, stats):
-    pair = (inst.candidate_index[d], inst.candidate_index[c])
-    engine = _Engine(inst, ntd, "margin", pair=pair, max_table=max_table,
-                     trace=trace, stats=stats)
+def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
+    """{d: largest achievable weighted score(d) - score(c)} for every
+    other candidate d, in candidate order, from one sweep. Any weights."""
+    if c not in inst.candidate_index:
+        raise PollInputError("unknown candidate %r" % (c,))
+    validate_nice(graph_of(inst), ntd)
+    rivals = tuple(d for d in inst.candidates if d != c)
+    if not rivals:
+        return {}
+    return _margins(inst, ntd, c, rivals, max_table, trace, stats)
+
+
+def _margins(inst, ntd, c, rivals, max_table, trace, stats):
+    index = inst.candidate_index
+    engine = _Engine(inst, ntd, rivals=tuple(index[d] for d in rivals), c=index[c],
+                     max_table=max_table, trace=trace, stats=stats)
     root = engine.run()
     if len(root) != 1:
         raise AssertionError("margin root table should hold exactly one value")
-    return next(iter(root.values()))
+    return dict(zip(rivals, next(iter(root.values()))))
 
 
 def necessary_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
     """Does `c` co-win every voting order? Works for weighted instances.
 
     Returns (decision, offending): when the answer is no, `offending` is
-    a candidate that can strictly beat `c` on some order.
+    the first candidate, in candidate order, that can strictly beat `c`
+    on some order. One sweep covers every rival.
     """
-    if c not in inst.candidate_index:
-        raise PollInputError("unknown candidate %r" % (c,))
-    validate_nice(graph_of(inst), ntd)
-    for d in inst.candidates:
-        if d == c:
-            continue
-        if _margin(inst, ntd, d, c, max_table, trace, stats) > 0:
+    for d, margin in margins_dp(inst, ntd, c, max_table, trace, stats).items():
+        if margin > 0:
             return False, d
     return True, None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from socialpolls import cli
 from socialpolls.cli import main, parse_instance, render_instance
-from socialpolls.model import PollInputError, instance_union
+from socialpolls.model import AgentPrefs, Instance, PollInputError, instance_union
 from socialpolls.reductions import (
     PartitionInput,
     gen_family,
@@ -171,6 +171,19 @@ class TestDecisionCommands:
         assert code == 0
         assert "decision: NO" in out
         assert "offending-candidate: b" in out
+
+    @pytest.mark.parametrize("method", ["dp", "auto"])
+    def test_necessary_single_candidate(self, capsys, tmp_path, method):
+        single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
+        path = save(tmp_path, single)
+        code, out, err = run(
+            capsys, "necessary", "--instance", path,
+            "--candidate", "a", "--method", method,
+        )
+        assert code == 0, err
+        assert "decision: YES" in out
+        assert "method: dp" in out
+        assert "table-entries: 0" in out
 
     def test_strict_exit_on_no(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nice_td_of
+from conftest import nice_td_of, small_instances
 from socialpolls.dpsolver import (
     achievable_scores_dp,
+    margins_dp,
     max_margin_dp,
     mutually_compatible,
     necessary_winner_dp,
@@ -112,6 +113,51 @@ class TestOracleEquivalence:
         ntd = nice_td_of(inst)
         for c in inst.candidates:
             assert necessary_winner_dp(inst, ntd, c)[0] == necessary_winner_bf(inst, c)[0]
+
+
+def check_margins_against_bf(inst):
+    """margins_dp against brute force for every ordered pair, and the
+    offender of necessary_winner_dp: the first rival in candidate order
+    whose margin is positive."""
+    ntd = nice_td_of(inst)
+    for c in inst.candidates:
+        margins = margins_dp(inst, ntd, c)
+        rivals = [d for d in inst.candidates if d != c]
+        assert list(margins) == rivals
+        bf = {d: max_margin_bf(inst, d, c) for d in rivals}
+        assert margins == bf
+        first = next((d for d in rivals if bf[d] > 0), None)
+        assert necessary_winner_dp(inst, ntd, c) == (first is None, first)
+
+
+class TestMarginSweep:
+    @given(small_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_margins_equal_bf_on_small_polls(self, inst):
+        check_margins_against_bf(inst)
+
+    @given(st.integers(0, 2_000), st.integers(1, 5), st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_margins_equal_bf_four_candidates(self, seed, n, size):
+        check_margins_against_bf(
+            gen_random(seed, n, 4, edge_prob=0.4, pref_size=size, max_weight=9)
+        )
+
+    def test_necessary_runs_one_sweep(self):
+        inst = gen_random(11, 6, 4, edge_prob=0.4, max_weight=9)
+        # an isolated agent backing "c1" outweighs everyone else
+        backer = AgentPrefs("c1", ["c1", "c2"], inst.total_weight() + 1)
+        padded = Instance(inst.candidates, inst.agents + (backer,), inst.edges, "c1")
+        ntd = nice_td_of(padded)
+        trace = []
+        assert necessary_winner_dp(padded, ntd, "c1", trace=trace) == (True, None)
+        assert len(trace) == len(ntd.nodes)
+
+    def test_single_candidate_runs_no_sweep(self):
+        single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
+        stats = {}
+        assert margins_dp(single, nice_td_of(single), "a", stats=stats) == {}
+        assert stats == {}
 
 
 class TestDecompositionIndependence:
