@@ -1,31 +1,41 @@
 """Dynamic programs over nice tree decompositions.
 
 Both programs sweep the nice tree bottom up, keeping per-node tables of
-partial poll states. A table key describes everything the nodes above
-may still observe about the processed subtree:
+partial poll states. A table key `(v, D, c)` describes everything the
+nodes above may still observe about the processed subtree:
 
-* `v`: the votes of the bag agents, as candidate indexes;
-* `D`: a transitively closed DAG on the bag whose underlying graph
-  covers the bag's friendship edges. It over-approximates reachability
-  between bag agents in the orientation built so far, which is exactly
-  what join and insert nodes need to rule out directed cycles;
-* `s`, `a`: for each bag agent, how many of its friends voted before it
-  for each non-top preferred candidate, and in total. Only arcs between
-  actual friends count here; `D` may relate non-adjacent agents.
+* `v`: the votes of the bag agents, as candidate indexes, in bag order;
+* `D`: a transitively closed DAG on the bag, a frozenset of (earlier,
+  later) agent pairs, whose underlying graph covers the bag's
+  friendship edges. It over-approximates reachability between bag
+  agents in the orientation built so far, which is exactly what join
+  and insert nodes need to rule out directed cycles;
+* `c`: one flat int tuple holding, in bag order, each bag agent x's row
+  `(s_1, ..., s_k, a)`: `s_j` counts the friends that voted before x
+  for `alts[x][j]`, its j-th non-top preferred candidate, and `a` all
+  friends that voted before x. Only arcs between actual friends count
+  here; `D` may relate non-adjacent agents. `_offsets` gives where each
+  row starts.
+
+With flat counters a join adds two keys' counters with one `map`, a
+forget drops one contiguous slice, and an insert splices in the new
+agent's row and bumps its out-friends' fields by deltas precomputed
+once per admissible place.
 
 The achievable-scores program additionally tracks the per-candidate
 vote counts of the processed subtree; it requires unit weights because
-counts enter keys. The margin program replaces counts by a payload with
-one maximized value per rival d of a candidate c, the weighted score
-difference score(d) - score(c), so it handles arbitrary weights and any
-number of candidates. The key set does not depend on the pair, and
-keys, transitions and the join's double-count correction are additive
-given the key, so each coordinate is the single-pair program and one
-sweep gives every margin against c.
+counts enter keys: its slices are keyed by `((v, D, c), counts)`. The
+margin program replaces counts by a payload with one maximized value
+per rival d of a candidate c, the weighted score difference score(d) -
+score(c), so it handles arbitrary weights and any number of
+candidates; its slices map `(v, D, c)` to that payload. The key set
+does not depend on the pair, and keys, transitions and the join's
+double-count correction are additive given the key, so each coordinate
+is the single-pair program and one sweep gives every margin against c.
 
 An agent's voting rule is enforced once, at the forget node that drops
-it: by then every friend has been inserted below, so `s` and `a` are
-final. A guard bounds the number of live table entries.
+it: by then every friend has been inserted below, so its row is final.
+A guard bounds the number of live table entries.
 
 The key invariant is written once, in `_keys_compatible`. The sweep
 asserts it on every stored slice, so `python -O` skips it; the public
@@ -36,7 +46,7 @@ the voting rule for agents whose friends all lie in the bag.
 from __future__ import annotations
 
 import itertools
-from operator import add, sub
+from operator import add, le, sub
 
 from .graphkit import graph_of, validate_nice
 from .model import (
@@ -58,60 +68,127 @@ def _agent_tables(inst):
     return prefs, top, alts, tuple(frozenset(b) for b in inst.adjacency)
 
 
-def _keys_compatible(tables, bag, items, counted):
-    """Could each key in `items`, ((v, D, s, a), payload) pairs over
-    `bag` in index form, come from a partial poll? Payloads are count
-    vectors to check too when `counted`. The voting rule of fully-seen
-    agents is left out: leaf and insert nodes legitimately hold votes
-    that the matching forget node prunes."""
-    prefs, _, alts, friends = tables
-    bagset = frozenset(bag)
+def _offsets(alts, bag):
+    """Where each bag agent's row starts in a flat counter tuple, in bag
+    order, followed by the tuple's length."""
+    out = [0]
+    for x in bag:
+        out.append(out[-1] + len(alts[x]) + 1)
+    return out
+
+
+def _in_friends(friends, bag, dag):
+    """Per bag agent, the bag positions of its friends that precede it
+    in `dag`; None unless `dag` is irreflexive, free of two-cycles,
+    transitively closed, inside the bag and orients every friendship
+    edge of the bag."""
     pos = {y: k for k, y in enumerate(bag)}
-    nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
-    n = len(prefs)
-    for (v, dag, s, a), payload in items:
-        for u, w in dag:
-            if u == w or u not in bagset or w not in bagset or (w, u) in dag:
-                return False
-        for u, w in dag:
-            for w2, z in dag:
-                if w2 == w and z != u and (u, z) not in dag:
-                    return False
-        for k, x in enumerate(bag):
-            if v[k] not in prefs[x]:
-                return False
-            if any(q < 0 for q in s[k]) or sum(s[k]) > a[k]:
-                return False
-            if a[k] > len(friends[x]):
-                return False
-            ing = []
-            for y in nbr_in[k]:
+    for u, w in dag:
+        if u == w or u not in pos or w not in pos or (w, u) in dag:
+            return None
+    for u, w in dag:
+        for w2, z in dag:
+            if w2 == w and z != u and (u, z) not in dag:
+                return None
+    ins = []
+    for x in bag:
+        row = []
+        for k, y in enumerate(bag):
+            if y in friends[x]:
                 if (y, x) in dag:
-                    ing.append(y)
+                    row.append(k)
                 elif (x, y) not in dag:
+                    return None
+        ins.append(tuple(row))
+    return ins
+
+
+def _tallies(alts, bag, v, ins):
+    """The counters that arcs inside the bag account for, as a flat
+    tuple: per bag agent, its in-friends' votes for each alternative,
+    then their number."""
+    out = ()
+    for x, row in zip(bag, ins):
+        if row:
+            votes = [v[k] for k in row]
+            out += tuple(map(votes.count, alts[x])) + (len(row),)
+        else:
+            out += (0,) * (len(alts[x]) + 1)
+    return out
+
+
+def _keys_compatible(tables, bag, items, counted):
+    """Could each key in `items`, ((v, D, c), payload) pairs over `bag`
+    in index form, come from a partial poll? Payloads are count vectors
+    to check too when `counted`. The voting rule of fully-seen agents is
+    left out: leaf and insert nodes legitimately hold votes that the
+    matching forget node prunes.
+
+    The conditions on D alone are checked once per distinct D. The
+    bounds that v and D put on the counters are built once per (v, D),
+    as a flat lower and a flat upper bound tuple; a counter row must
+    also sum its `s` fields to at most `a` while the agent has friends
+    outside the bag (inside, the bounds are equalities). A repeated
+    (v, D, c) has only its payload checked again."""
+    prefs, _, alts, friends = tables
+    n = len(prefs)
+    off = _offsets(alts, bag)
+    bagset = frozenset(bag)
+    full = [friends[x] <= bagset for x in bag]
+    # the upper bound of each counter of an agent with friends outside
+    # the bag: its degree
+    caps = [(len(friends[x]),) * (len(alts[x]) + 1) for x in bag]
+    sums = tuple((off[k], off[k + 1] - 1) for k, x in enumerate(bag)
+                 if alts[x] and not full[k])
+    groups = {}  # D -> (in-friend positions, {v: bounds})
+    checked = {}  # (v, D, c) -> the payload's lower bound, count mode
+    for key, payload in items:
+        floor = checked.get(key) if counted else None
+        if floor is None:
+            v, dag, c = key
+            group = groups.get(dag)
+            if group is None:
+                ins = _in_friends(friends, bag, dag)
+                if ins is None:
                     return False
-            full = len(nbr_in[k]) == len(friends[x])
-            if a[k] < len(ing) or (full and a[k] != len(ing)):
-                return False
-            for j, c in enumerate(alts[x]):
-                seen = sum(1 for y in ing if v[pos[y]] == c)
-                if s[k][j] < seen or (full and s[k][j] != seen):
+                group = groups[dag] = (ins, {})
+            bounds = group[1].get(v)
+            if bounds is None:
+                if any(vk not in prefs[x] for x, vk in zip(bag, v)):
                     return False
-        if counted:
-            if any(q < 0 for q in payload) or sum(payload) > n:
+                lo = _tallies(alts, bag, v, group[0])
+                hi = ()
+                for k, cap in enumerate(caps):
+                    hi += lo[off[k]:off[k + 1]] if full[k] else cap
+                floor = None
+                if counted:
+                    floor = [0] * len(payload)
+                    for vk in v:
+                        floor[vk] += 1
+                bounds = group[1][v] = (lo, hi, floor)
+            lo, hi, floor = bounds
+            if not (all(map(le, lo, c)) and all(map(le, c, hi))):
                 return False
-            if any(q < v.count(c) for c, q in enumerate(payload)):
-                return False
+            for start, stop in sums:
+                if sum(c[start:stop]) > c[stop]:
+                    return False
+            if counted:
+                checked[key] = floor
+        if counted and not (all(map(le, floor, payload)) and sum(payload) <= n):
+            return False
     return True
 
 
 class _Engine:
-    """Shared sweep for both programs. Payloads are int tuples. Without
-    `rivals` (count mode) the payload is the subtree's vote count per
-    candidate and is part of the key. With `rivals`, candidate indexes d
-    paired with the index `c` (margin mode), coordinate j of the payload
-    is the largest weighted score(rivals[j]) - score(c) over the subtree
-    states with that key, maximized per coordinate."""
+    """Shared sweep for both programs over `(v, D, c)` keys (see the
+    module docstring). Payloads are int tuples. Without `rivals` (count
+    mode) the payload is the subtree's vote count per candidate and
+    slices are keyed by `((v, D, c), payload)`. With `rivals`, candidate
+    indexes d paired with the index `c` (margin mode), slices map
+    `(v, D, c)` to a payload whose coordinate j is the largest weighted
+    score(rivals[j]) - score(c) over the subtree states with that key,
+    maximized per coordinate. Either way `_pairs` yields `((v, D, c),
+    payload)`."""
 
     def __init__(self, inst, ntd, rivals=None, c=None, max_table=DEFAULT_MAX_TABLE,
                  trace=None, stats=None):
@@ -142,7 +219,7 @@ class _Engine:
 
     def _add(self, slice_, key, payload):
         if self.counted:
-            slice_[key + (payload,)] = payload
+            slice_[(key, payload)] = payload
             return
         old = slice_.get(key)
         if old is None:
@@ -150,11 +227,8 @@ class _Engine:
         elif old != payload:
             slice_[key] = tuple(map(max, old, payload))
 
-    @staticmethod
-    def _items(slice_):
-        # ((v, D, s, a), payload) pairs; count keys carry the payload last
-        for key, payload in slice_.items():
-            yield key[:4], payload
+    def _pairs(self, slice_):
+        return slice_.keys() if self.counted else slice_.items()
 
     def run(self):
         slices = {}
@@ -176,7 +250,7 @@ class _Engine:
                 live -= len(left) + len(right)
                 sl = self._join(nd, left, right)
             assert _keys_compatible(
-                self.tables, nd.bag, self._items(sl), self.counted
+                self.tables, nd.bag, self._pairs(sl), self.counted
             ), "incompatible key stored at node %d" % i
             slices[i] = sl
             live += len(sl)
@@ -197,13 +271,12 @@ class _Engine:
     def _leaf(self, nd):
         sl = {}
         if not nd.bag:
-            self._add(sl, ((), frozenset(), (), ()), self.zero)
+            self._add(sl, ((), frozenset(), ()), self.zero)
             return sl
         x = nd.bag[0]
-        szero = (0,) * len(self.alts[x])
+        row = (0,) * (len(self.alts[x]) + 1)
         for c in self.prefs[x]:
-            key = ((c,), frozenset(), (szero,), (0,))
-            self._add(sl, key, self.values[x][c])
+            self._add(sl, ((c,), frozenset(), row), self.values[x][c])
         return sl
 
     def _insert(self, nd, child):
@@ -211,43 +284,41 @@ class _Engine:
         bag = nd.bag
         px = bag.index(x)
         cbag = bag[:px] + bag[px + 1:]
+        coff = _offsets(self.alts, cbag)
+        split = coff[px]
+        alts_x = self.alts[x]
         vals = self.values[x]
+        add_ = self._add
         places_of = {}
         sl = {}
-        for (cv, cd, cs, ca), payload in self._items(child):
+        for (cv, cd, cc), payload in self._pairs(child):
             # the places of x depend on the child's DAG alone, and x's vote
             # adds the same to the payload in every place
             places = places_of.get(cd)
             if places is None:
-                places = places_of[cd] = self._places(x, cbag, cd)
-            grown = [(c, tuple(map(add, payload, vals[c]))) for c in self.prefs[x]]
-            for in_pos, out_alt, arcs in places:
-                a_x = len(in_pos)
+                places = places_of[cd] = self._places(x, cbag, cd, coff, px)
+            grown = [(c, cv[:px] + (c,) + cv[px:], tuple(map(add, payload, vals[c])))
+                     for c in self.prefs[x]]
+            head, tail = cc[:split], cc[split:]
+            for in_pos, bumps, arcs in places:
                 votes_in = [cv[k] for k in in_pos]
-                s_x = tuple(votes_in.count(c2) for c2 in self.alts[x])
-                base_a = list(ca)
-                for k, _ in out_alt:
-                    base_a[k] += 1
-                base_a.insert(px, a_x)
-                new_a = tuple(base_a)
-                for c, grown_payload in grown:
-                    new_s = list(cs)
-                    for k, altpos in out_alt:
-                        j = altpos.get(c)
-                        if j is not None:
-                            row = list(new_s[k])
-                            row[j] += 1
-                            new_s[k] = tuple(row)
-                    new_s.insert(px, s_x)
-                    v = cv[:px] + (c,) + cv[px:]
-                    self._add(sl, (v, arcs, tuple(new_s), new_a), grown_payload)
+                base = (head + tuple(map(votes_in.count, alts_x))
+                        + (len(in_pos),) + tail)
+                for c, v, grown_payload in grown:
+                    delta = bumps.get(c)
+                    new = base if delta is None else tuple(map(add, base, delta))
+                    add_(sl, (v, arcs, new), grown_payload)
         return sl
 
-    def _places(self, x, cbag, cd):
+    def _places(self, x, cbag, cd, coff, px):
         """Each admissible place of x relative to the child's DAG `cd`:
-        (child positions of the friends before x, (child position,
-        `altpos` map) of the friends after x, the new DAG)."""
+        (child positions of the friends before x, {vote of x: the delta
+        that the friends after x receive, over the parent's flat
+        counters}, the new DAG). `coff` are the child's row offsets and
+        `px` is x's position in the parent's bag."""
         nbrx = self.nbr[x]
+        wx = len(self.alts[x]) + 1
+        width = coff[-1] + wx
         # per bag vertex: the admissible arc states toward x
         options = [((1, 2) if y in nbrx else (0, 1, 2)) for y in cbag]
         preds = {y: set() for y in cbag}
@@ -271,10 +342,22 @@ class _Engine:
             arcs = frozenset(
                 itertools.chain(cd, ((y, x) for y in ins), ((x, y) for y in outs))
             )
+            # each friend after x counts x once in `a`, and in the `s`
+            # field of x's vote when that is one of its alternatives
+            followers = [(coff[k] + (wx if k >= px else 0), y)
+                         for k, y in enumerate(cbag) if y in outs and y in nbrx]
+            bumps = {}
+            for c in self.prefs[x] if followers else ():
+                delta = [0] * width
+                for start, y in followers:
+                    j = self.altpos[y].get(c)
+                    if j is not None:
+                        delta[start + j] += 1
+                    delta[start + len(self.alts[y])] += 1
+                bumps[c] = tuple(delta)
             places.append((
                 tuple(k for k, y in enumerate(cbag) if y in ins and y in nbrx),
-                tuple((k, self.altpos[y]) for k, y in enumerate(cbag)
-                      if y in outs and y in nbrx),
+                bumps,
                 arcs,
             ))
         return places
@@ -283,68 +366,64 @@ class _Engine:
         x = nd.vertex
         child_bag = self.ntd.nodes[nd.children[0]].bag
         px = child_bag.index(x)
+        start = _offsets(self.alts, child_bag)[px]
+        ai = start + len(self.alts[x])
         p1x = self.p1[x]
         altpos = self.altpos[x]
         dags = {}
         sl = {}
-        for (cv, cd, cs, ca), payload in self._items(child):
+        for (cv, cd, cc), payload in self._pairs(child):
             c = cv[px]
-            svec = cs[px]
-            ax = ca[px]
+            ax = cc[ai]
             # the voting rule for x, now that all its friends are below
             if c == p1x:
-                if any(2 * sv > ax for sv in svec):
+                if 2 * max(cc[start:ai], default=0) > ax:
                     continue
             else:
-                if 2 * svec[altpos[c]] <= ax:
+                if 2 * cc[start + altpos[c]] <= ax:
                     continue
-            v = cv[:px] + cv[px + 1:]
-            s = cs[:px] + cs[px + 1:]
-            a = ca[:px] + ca[px + 1:]
             # reduce each distinct child DAG once; its entries share the result
             arcs = dags.get(cd)
             if arcs is None:
                 arcs = dags[cd] = frozenset((u, w) for u, w in cd if x not in (u, w))
-            self._add(sl, (v, arcs, s, a), payload)
+            self._add(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[ai + 1:]),
+                      payload)
         return sl
 
     def _join(self, nd, left, right):
         bag = nd.bag
-        pos = {y: k for k, y in enumerate(bag)}
         groups = {}
-        for (v, d, s, a), payload in self._items(left):
-            groups.setdefault((v, d), [[], []])[0].append((s, a, payload))
-        for (v, d, s, a), payload in self._items(right):
+        for (v, d, c), payload in self._pairs(left):
+            groups.setdefault((v, d), ([], []))[0].append((c, payload))
+        for (v, d, c), payload in self._pairs(right):
             grp = groups.get((v, d))
             if grp is not None:
-                grp[1].append((s, a, payload))
+                grp[1].append((c, payload))
+        add_ = self._add
+        ins_of = {}
         sl = {}
         for (v, d), (lefts, rights) in groups.items():
             if not rights:
                 continue
-            # counted once per side, so the bag's own contribution and the
-            # in-arc tallies inside the bag are subtracted once
-            ov_a = []
-            ov_s = []
-            for x in bag:
-                friends_in = [u for u, w in d if w == x and u in self.nbr[x]]
-                ov_a.append(len(friends_in))
-                votes = [v[pos[u]] for u in friends_in]
-                ov_s.append(tuple(votes.count(c2) for c2 in self.alts[x]))
+            ins = ins_of.get(d)
+            if ins is None:
+                ins = ins_of[d] = _in_friends(self.nbr, bag, d)
+            # counted once per side, so the bag's own votes and the
+            # in-arc tallies inside the bag are subtracted once, from
+            # each right entry rather than per pair
+            overlap = _tallies(self.alts, bag, v, ins)
             dup = self.zero
             for k, x in enumerate(bag):
                 dup = tuple(map(add, dup, self.values[x][v[k]]))
-            # subtract the overlap from each right entry once, not per pair
-            rights = [
-                (tuple(tuple(map(sub, r2, r0)) for r2, r0 in zip(s2, ov_s)),
-                 tuple(map(sub, a2, ov_a)), tuple(map(sub, p2, dup)))
-                for s2, a2, p2 in rights
-            ]
-            for s1, a1, p1 in lefts:
-                for s2, a2, p2 in rights:
-                    s = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(s1, s2))
-                    a = tuple(map(add, a1, a2))
-                    self._add(sl, (v, d, s, a), tuple(map(add, p1, p2)))
+            # None where the right side adds nothing, so that the left
+            # side's tuple is stored as it is
+            rights = [(None if c2 == overlap else tuple(map(sub, c2, overlap)),
+                       None if p2 == dup else tuple(map(sub, p2, dup)))
+                      for c2, p2 in rights]
+            for c1, p1 in lefts:
+                for c2, p2 in rights:
+                    add_(sl, (v, d, c1 if c2 is None else tuple(map(add, c1, c2))),
+                         p1 if p2 is None else tuple(map(add, p1, p2)))
         return sl
 
 
@@ -413,7 +492,8 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
             return False
         rows.append(tuple(influence[x].get(c, 0) for c in labels))
     ante = tuple(anterior[x] for x in bag)
-    key = (v, arcs, tuple(rows), ante)
+    flat = tuple(itertools.chain.from_iterable(r + (a,) for r, a in zip(rows, ante)))
+    key = (v, frozenset(arcs), flat)
     cvec = None if counts is None else tuple(counts.get(c, 0) for c in inst.candidates)
     if not _keys_compatible(tables, bag, [(key, cvec)], counts is not None):
         return False

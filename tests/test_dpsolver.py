@@ -1,10 +1,14 @@
 """Tree-decomposition dynamic programs against the brute-force oracle."""
 
+import random
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nice_td_of, small_instances
+from socialpolls import dpsolver
 from socialpolls.dpsolver import (
     achievable_scores_dp,
     margins_dp,
@@ -317,3 +321,201 @@ class TestMutuallyCompatible:
             mutually_compatible(
                 {0: "a"}, (), {"z": 1}, {0: {}}, {0: 0}, self.single, (0,)
             )
+
+
+def reference_keys_compatible(tables, bag, items, counted):
+    """The table-key checker as it stood over nested keys (v, D, s, a),
+    with one `s` row and one `a` value per bag agent, checking every
+    condition on every key. Kept as the reference for the flat checker."""
+    prefs, _, alts, friends = tables
+    bagset = frozenset(bag)
+    pos = {y: k for k, y in enumerate(bag)}
+    nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
+    n = len(prefs)
+    for (v, dag, s, a), payload in items:
+        for u, w in dag:
+            if u == w or u not in bagset or w not in bagset or (w, u) in dag:
+                return False
+        for u, w in dag:
+            for w2, z in dag:
+                if w2 == w and z != u and (u, z) not in dag:
+                    return False
+        for k, x in enumerate(bag):
+            if v[k] not in prefs[x]:
+                return False
+            if any(q < 0 for q in s[k]) or sum(s[k]) > a[k]:
+                return False
+            if a[k] > len(friends[x]):
+                return False
+            ing = []
+            for y in nbr_in[k]:
+                if (y, x) in dag:
+                    ing.append(y)
+                elif (x, y) not in dag:
+                    return False
+            full = len(nbr_in[k]) == len(friends[x])
+            if a[k] < len(ing) or (full and a[k] != len(ing)):
+                return False
+            for j, c in enumerate(alts[x]):
+                seen = sum(1 for y in ing if v[pos[y]] == c)
+                if s[k][j] < seen or (full and s[k][j] != seen):
+                    return False
+        if counted:
+            if any(q < 0 for q in payload) or sum(payload) > n:
+                return False
+            if any(q < v.count(c) for c, q in enumerate(payload)):
+                return False
+    return True
+
+
+def nested_item(alts, bag, item):
+    """A flat ((v, D, c), payload) item in the nested (v, D, s, a) form."""
+    (v, dag, c), payload = item
+    off = dpsolver._offsets(alts, bag)
+    rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
+    return (v, dag, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)), payload
+
+
+def captured_checks(monkeypatch, run):
+    """Every (tables, bag, items, counted) call the sweeps in `run` make
+    to the key checker, with the items listed."""
+    calls = []
+    real = dpsolver._keys_compatible
+
+    def spy(tables, bag, items, counted):
+        items = list(items)
+        calls.append((tables, bag, items, counted))
+        return real(tables, bag, items, counted)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dpsolver, "_keys_compatible", spy)
+        run()
+    return calls
+
+
+def mutants(rng, tables, bag, item, counted, n_candidates):
+    """One-field mutations of a flat item: a vote, an `s` field, an `a`
+    field, an arc dropped or flipped, a count-payload field."""
+    alts = tables[2]
+    (v, dag, c), payload = item
+    off = dpsolver._offsets(alts, bag)
+    out = []
+    if bag:
+        k = rng.randrange(len(bag))
+        vote = rng.randrange(n_candidates)
+        out.append(((v[:k] + (vote,) + v[k + 1:], dag, c), payload))
+        for i in range(off[k], off[k + 1]):
+            step = rng.choice((-1, 1))
+            out.append(((v, dag, c[:i] + (c[i] + step,) + c[i + 1:]), payload))
+    if dag:
+        u, w = rng.choice(sorted(dag))
+        out.append(((v, dag - {(u, w)}, c), payload))
+        out.append(((v, (dag - {(u, w)}) | {(w, u)}, c), payload))
+    if counted:
+        j = rng.randrange(len(payload))
+        step = rng.choice((-1, 1))
+        out.append(((v, dag, c), payload[:j] + (payload[j] + step,) + payload[j + 1:]))
+    return out
+
+
+def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
+    """The flat checker against the reference on every captured slice, on
+    mutants of sampled items alone, and on each mutant placed after the
+    first items of its slice that share its DAG, so that the per-DAG,
+    per-(v, D) and repeated-key caches are filled when it arrives (a
+    payload mutant then arrives as a repeated key)."""
+    for tables, bag, items, counted in calls:
+        alts = tables[2]
+
+        def agree(flat):
+            nested = [nested_item(alts, bag, it) for it in flat]
+            assert dpsolver._keys_compatible(tables, bag, flat, counted) == \
+                reference_keys_compatible(tables, bag, nested, counted), (bag, flat)
+
+        agree(items)
+        for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
+            dag = items[idx][0][1]
+            before = [it for it in items if it[0][1] == dag][:siblings]
+            for mutant in mutants(rng, tables, bag, items[idx], counted, n_candidates):
+                agree([mutant])
+                agree(before + [mutant])
+
+
+def sweep_all(inst):
+    """Count sweeps where unweighted, and one margin sweep per candidate."""
+    ntd = nice_td_of(inst)
+    if inst.is_unweighted():
+        achievable_scores_dp(inst, ntd)
+    for c in inst.candidates:
+        margins_dp(inst, ntd, c)
+
+
+class TestKeyChecker:
+    # at most four agents: on a complete graph of five one example
+    # takes about ten seconds
+    @given(small_instances(max_agents=4), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_small_polls(self, inst, rng):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = captured_checks(mp, lambda: sweep_all(inst))
+        compare_checkers(calls, len(inst.candidates), rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", (3, 4))
+    def test_matches_reference_on_seeded_polls(self, monkeypatch, seed, m):
+        rng = random.Random(seed)
+        for inst in (gen_random(seed, 5, m, edge_prob=0.5),
+                     gen_random(seed, 5, m, edge_prob=0.4, pref_size=3, max_weight=5)):
+            calls = captured_checks(monkeypatch, lambda: sweep_all(inst))
+            compare_checkers(calls, m, rng)
+
+
+def join_without_overlap(original):
+    """A join that adds the in-bag tallies back: one that forgot to
+    subtract the overlap of its two sides."""
+    def join(self, nd, left, right):
+        sl = {}
+        for (v, d, c), p in self._pairs(original(self, nd, left, right)):
+            ins = dpsolver._in_friends(self.nbr, nd.bag, d)
+            extra = dpsolver._tallies(self.alts, nd.bag, v, ins)
+            self._add(sl, (v, d, tuple(map(add, c, extra))), p)
+        return sl
+    return join
+
+
+def places_without_bumps(original):
+    """Insert places that never count x for the friends voting after it."""
+    def places(self, *args):
+        return [(in_pos, {}, arcs) for in_pos, _, arcs in original(self, *args)]
+    return places
+
+
+class TestSweepCheckIsLive:
+    # a triangle with a pendant agent on each corner: its decomposition
+    # joins on a bag holding a friendship edge, so the overlap that the
+    # join subtracts is not zero
+    INST = Instance(
+        ("a", "b", "c"),
+        tuple(AgentPrefs(t, ["a", "b", "c"]) for t in "abcabc"),
+        ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)),
+        "a",
+    )
+
+    @pytest.mark.parametrize("corrupt, method", [
+        (join_without_overlap, "_join"),
+        (places_without_bumps, "_places"),
+    ])
+    @pytest.mark.parametrize("counted", (True, False))
+    def test_corrupt_transition_trips_the_check(self, monkeypatch, corrupt, method,
+                                                counted):
+        inst = self.INST
+        ntd = nice_td_of(inst)
+        assert any(nd.kind == "join" and any(set(e) <= set(nd.bag) for e in inst.edges)
+                   for nd in ntd.nodes)
+        monkeypatch.setattr(dpsolver._Engine, method,
+                            corrupt(getattr(dpsolver._Engine, method)))
+        with pytest.raises(AssertionError, match="incompatible key stored at node"):
+            if counted:
+                achievable_scores_dp(inst, ntd)
+            else:
+                margins_dp(inst, ntd, "a")
