@@ -33,14 +33,19 @@ does not depend on the pair, and keys, transitions and the join's
 double-count correction are additive given the key, so each coordinate
 is the single-pair program and one sweep gives every margin against c.
 
-An agent's voting rule is enforced once, at the forget node that drops
-it: by then every friend has been inserted below, so its row is final.
+Dead states are pruned where they are made. `_unseen` gives, per node
+and bag agent x, the number r of x's friends outside the vertices of
+the node's subtree; they may still vote before x, and no other friend
+can. A state is dead when no such future can make x's row agree with
+x's vote (`_live`), and the leaf, insert and join nodes never store
+one. At the forget node of x every friend is seen (r = 0), so the bound
+is then exactly the voting rule and the forget node tests nothing.
 A guard bounds the number of live table entries.
 
-The key invariant is written once, in `_keys_compatible`. The sweep
-asserts it on every stored slice, so `python -O` skips it; the public
-`mutually_compatible` runs it on one key given over labels, then adds
-the voting rule for agents whose friends all lie in the bag.
+The key invariant is written once, in `_keys_compatible`, and includes
+that bound. The sweep asserts it on every stored slice, so `python -O`
+skips it; the public `mutually_compatible` runs it on one key given
+over labels, with r = 0 for agents whose friends all lie in the bag.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .model import (
 )
 
 DEFAULT_MAX_TABLE = 1 << 24
+_NO_BOUND = float("inf")
 
 
 def _agent_tables(inst):
@@ -117,30 +123,100 @@ def _tallies(alts, bag, v, ins):
     return out
 
 
-def _keys_compatible(tables, bag, items, counted):
-    """Could each key in `items`, ((v, D, c), payload) pairs over `bag`
-    in index form, come from a partial poll? Payloads are count vectors
-    to check too when `counted`. The voting rule of fully-seen agents is
-    left out: leaf and insert nodes legitimately hold votes that the
-    matching forget node prunes.
+def _unseen(ntd, friends):
+    """Per nice node, in bag order, the number of each bag agent's
+    friends outside the vertices of the node's subtree. It depends on
+    the decomposition alone, so one pass bottom up serves a sweep."""
+    out = []
+    for nd in ntd.nodes:
+        if nd.kind == "leaf":
+            row = tuple(len(friends[x]) for x in nd.bag)
+        elif nd.kind == "join":
+            # the two subtrees share only the bag, so a friend outside
+            # the bag that neither side has seen is missed by both
+            left, right = (out[k] for k in nd.children)
+            bagset = frozenset(nd.bag)
+            row = tuple(rl + rr - len(friends[x] - bagset)
+                        for x, rl, rr in zip(nd.bag, left, right))
+        else:
+            cbag = ntd.nodes[nd.children[0]].bag
+            cr = dict(zip(cbag, out[nd.children[0]]))
+            y = nd.vertex
+            if nd.kind == "forget":
+                row = tuple(cr[x] for x in nd.bag)
+            else:
+                # every friend of the new agent in the subtree is in the
+                # child's bag, and its friends there see it now
+                row = tuple(len(friends[y].difference(cbag)) if x == y
+                            else cr[x] - (x in friends[y]) for x in nd.bag)
+        out.append(row)
+    return out
 
-    The conditions on D alone are checked once per distinct D. The
-    bounds that v and D put on the counters are built once per (v, D),
-    as a flat lower and a flat upper bound tuple; a counter row must
-    also sum its `s` fields to at most `a` while the agent has friends
-    outside the bag (inside, the bounds are equalities). A repeated
-    (v, D, c) has only its payload checked again."""
+
+def _rules(tables, bag, off, v, unseen, positions):
+    """The voting-rule bound of each bag agent, with votes `v` and row
+    offsets `off`, at a position in `positions` whose `unseen` count r
+    is not None. Those r friends may each still vote before the agent,
+    raising its `a` field and at most one `s` field by one. So it is
+    dead when it votes its top and 2·s_j > a + r for some j, or when it
+    votes the alternative j and 2·s_j + r <= a; with r = 0 this is the
+    voting rule itself. Each bound is (f, i, low, high), for `_live`:
+    the agent is alive while low <= 2·c[f] - c[i] <= high, where c[i] is
+    its `a` field and c[f] one of its `s` fields."""
+    _, top, alts, _ = tables
+    out = []
+    for k in positions:
+        r = unseen[k]
+        if r is not None:
+            x = bag[k]
+            ai = off[k + 1] - 1
+            if v[k] == top[x]:
+                for f in range(off[k], ai):
+                    out.append((f, ai, -_NO_BOUND, r))
+            else:
+                out.append((off[k] + alts[x].index(v[k]), ai, 1 - r, _NO_BOUND))
+    return out
+
+
+def _live(c, rules):
+    """Can every agent in `rules` (see `_rules`) still meet the voting
+    rule, given flat counters `c`?"""
+    for f, ai, low, high in rules:
+        if not low <= 2 * c[f] - c[ai] <= high:
+            return False
+    return True
+
+
+def _keys_compatible(tables, bag, items, counted, unseen):
+    """Could each key in `items`, ((v, D, c), payload) pairs over `bag`
+    in index form, come from a partial poll whose voting rule every bag
+    agent can still meet? Payloads are count vectors to check too when
+    `counted`. `unseen` gives, per bag position, the agent's friends
+    that have not been seen yet, for the bound of `_live`, or None to
+    skip that agent's bound.
+
+    The conditions on v alone are checked once per distinct v, and
+    those on D alone once per distinct D. The bounds that v and D put
+    on the counters are built once per (v, D), as a flat lower and a
+    flat upper bound tuple; a counter row must also sum its `s` fields
+    to at most `a` while the agent has friends outside the bag (inside,
+    the bounds are equalities). The rows of agents whose friends all
+    lie in the bag equal the lower bound, so their voting rule is
+    checked once per (v, D) too. A repeated (v, D, c) has only its
+    payload checked again."""
     prefs, _, alts, friends = tables
     n = len(prefs)
     off = _offsets(alts, bag)
     bagset = frozenset(bag)
     full = [friends[x] <= bagset for x in bag]
+    inner = [k for k in range(len(bag)) if full[k]]
+    outer = [k for k in range(len(bag)) if not full[k]]
     # the upper bound of each counter of an agent with friends outside
     # the bag: its degree
     caps = [(len(friends[x]),) * (len(alts[x]) + 1) for x in bag]
-    sums = tuple((off[k], off[k + 1] - 1) for k, x in enumerate(bag)
-                 if alts[x] and not full[k])
+    sums = tuple((off[k], off[k + 1] - 1) for k in outer if alts[bag[k]])
     groups = {}  # D -> (in-friend positions, {v: bounds})
+    votes = {}  # v -> (payload floor, `_live` bounds of inner, of outer agents)
     checked = {}  # (v, D, c) -> the payload's lower bound, count mode
     for key, payload in items:
         floor = checked.get(key) if counted else None
@@ -154,24 +230,34 @@ def _keys_compatible(tables, bag, items, counted):
                 group = groups[dag] = (ins, {})
             bounds = group[1].get(v)
             if bounds is None:
-                if any(vk not in prefs[x] for x, vk in zip(bag, v)):
-                    return False
+                by_vote = votes.get(v)
+                if by_vote is None:
+                    if any(vk not in prefs[x] for x, vk in zip(bag, v)):
+                        return False
+                    floor = None
+                    if counted:
+                        floor = [0] * len(payload)
+                        for vk in v:
+                            floor[vk] += 1
+                    by_vote = votes[v] = (floor,
+                                          _rules(tables, bag, off, v, unseen, inner),
+                                          _rules(tables, bag, off, v, unseen, outer))
+                floor, inner_rules, rules = by_vote
                 lo = _tallies(alts, bag, v, group[0])
+                if not _live(lo, inner_rules):
+                    return False
                 hi = ()
                 for k, cap in enumerate(caps):
                     hi += lo[off[k]:off[k + 1]] if full[k] else cap
-                floor = None
-                if counted:
-                    floor = [0] * len(payload)
-                    for vk in v:
-                        floor[vk] += 1
-                bounds = group[1][v] = (lo, hi, floor)
-            lo, hi, floor = bounds
-            if not (all(map(le, lo, c)) and all(map(le, c, hi))):
+                bounds = group[1][v] = (lo, hi, floor, rules)
+            lo, hi, floor, rules = bounds
+            if len(c) != off[-1] or not (all(map(le, lo, c)) and all(map(le, c, hi))):
                 return False
             for start, stop in sums:
                 if sum(c[start:stop]) > c[stop]:
                     return False
+            if not _live(c, rules):
+                return False
             if counted:
                 checked[key] = floor
         if counted and not (all(map(le, floor, payload)) and sum(payload) <= n):
@@ -199,8 +285,9 @@ class _Engine:
         self.stats = stats
         m = len(inst.candidates)
         self.tables = _agent_tables(inst)
-        self.prefs, self.p1, self.alts, self.nbr = self.tables
+        self.prefs, _, self.alts, self.nbr = self.tables
         self.altpos = tuple({a: k for k, a in enumerate(alt)} for alt in self.alts)
+        self.unseen = _unseen(ntd, self.nbr)
         # values[x][k]: the payload of agent x voting candidate index k,
         # one shared row per weight
         weights = {ag.weight for ag in inst.agents}
@@ -234,12 +321,13 @@ class _Engine:
         slices = {}
         live = 0
         for i, nd in enumerate(self.ntd.nodes):
+            unseen = self.unseen[i]
             if nd.kind == "leaf":
-                sl = self._leaf(nd)
+                sl = self._leaf(nd, unseen)
             elif nd.kind == "insert":
                 child = slices.pop(nd.children[0])
                 live -= len(child)
-                sl = self._insert(nd, child)
+                sl = self._insert(nd, child, unseen)
             elif nd.kind == "forget":
                 child = slices.pop(nd.children[0])
                 live -= len(child)
@@ -248,9 +336,9 @@ class _Engine:
                 left = slices.pop(nd.children[0])
                 right = slices.pop(nd.children[1])
                 live -= len(left) + len(right)
-                sl = self._join(nd, left, right)
+                sl = self._join(nd, left, right, unseen)
             assert _keys_compatible(
-                self.tables, nd.bag, self._pairs(sl), self.counted
+                self.tables, nd.bag, self._pairs(sl), self.counted, unseen
             ), "incompatible key stored at node %d" % i
             slices[i] = sl
             live += len(sl)
@@ -268,26 +356,33 @@ class _Engine:
             raise AssertionError("empty root table; the sweep lost all states")
         return root
 
-    def _leaf(self, nd):
+    def _leaf(self, nd, unseen):
         sl = {}
         if not nd.bag:
             self._add(sl, ((), frozenset(), ()), self.zero)
             return sl
         x = nd.bag[0]
         row = (0,) * (len(self.alts[x]) + 1)
+        off = _offsets(self.alts, nd.bag)
         for c in self.prefs[x]:
-            self._add(sl, ((c,), frozenset(), row), self.values[x][c])
+            if _live(row, _rules(self.tables, nd.bag, off, (c,), unseen, (0,))):
+                self._add(sl, ((c,), frozenset(), row), self.values[x][c])
         return sl
 
-    def _insert(self, nd, child):
+    def _insert(self, nd, child, unseen):
         x = nd.vertex
         bag = nd.bag
         px = bag.index(x)
         cbag = bag[:px] + bag[px + 1:]
         coff = _offsets(self.alts, cbag)
+        off = _offsets(self.alts, bag)
         split = coff[px]
         alts_x = self.alts[x]
         vals = self.values[x]
+        # only x's row is new, and only its friends' rows and unseen
+        # counts change
+        watched = [px] + [k for k, y in enumerate(bag) if y in self.nbr[x]]
+        rules_of = {}
         add_ = self._add
         places_of = {}
         sl = {}
@@ -297,17 +392,23 @@ class _Engine:
             places = places_of.get(cd)
             if places is None:
                 places = places_of[cd] = self._places(x, cbag, cd, coff, px)
-            grown = [(c, cv[:px] + (c,) + cv[px:], tuple(map(add, payload, vals[c])))
-                     for c in self.prefs[x]]
+            grown = []
+            for c in self.prefs[x]:
+                v = cv[:px] + (c,) + cv[px:]
+                rules = rules_of.get(v)
+                if rules is None:
+                    rules = rules_of[v] = _rules(self.tables, bag, off, v, unseen, watched)
+                grown.append((c, v, tuple(map(add, payload, vals[c])), rules))
             head, tail = cc[:split], cc[split:]
             for in_pos, bumps, arcs in places:
                 votes_in = [cv[k] for k in in_pos]
                 base = (head + tuple(map(votes_in.count, alts_x))
                         + (len(in_pos),) + tail)
-                for c, v, grown_payload in grown:
+                for c, v, grown_payload, rules in grown:
                     delta = bumps.get(c)
                     new = base if delta is None else tuple(map(add, base, delta))
-                    add_(sl, (v, arcs, new), grown_payload)
+                    if _live(new, rules):
+                        add_(sl, (v, arcs, new), grown_payload)
         return sl
 
     def _places(self, x, cbag, cd, coff, px):
@@ -367,31 +468,27 @@ class _Engine:
         child_bag = self.ntd.nodes[nd.children[0]].bag
         px = child_bag.index(x)
         start = _offsets(self.alts, child_bag)[px]
-        ai = start + len(self.alts[x])
-        p1x = self.p1[x]
-        altpos = self.altpos[x]
+        stop = start + len(self.alts[x]) + 1
         dags = {}
         sl = {}
+        # every friend of x is seen below, so the child holds only states
+        # in which x meets the voting rule
         for (cv, cd, cc), payload in self._pairs(child):
-            c = cv[px]
-            ax = cc[ai]
-            # the voting rule for x, now that all its friends are below
-            if c == p1x:
-                if 2 * max(cc[start:ai], default=0) > ax:
-                    continue
-            else:
-                if 2 * cc[start + altpos[c]] <= ax:
-                    continue
             # reduce each distinct child DAG once; its entries share the result
             arcs = dags.get(cd)
             if arcs is None:
                 arcs = dags[cd] = frozenset((u, w) for u, w in cd if x not in (u, w))
-            self._add(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[ai + 1:]),
+            self._add(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[stop:]),
                       payload)
         return sl
 
-    def _join(self, nd, left, right):
+    def _join(self, nd, left, right, unseen):
         bag = nd.bag
+        off = _offsets(self.alts, bag)
+        # the rows and unseen counts of agents whose friends all lie in
+        # the bag are the same on both sides and here
+        bagset = frozenset(bag)
+        watched = [k for k, x in enumerate(bag) if not self.nbr[x] <= bagset]
         groups = {}
         for (v, d, c), payload in self._pairs(left):
             groups.setdefault((v, d), ([], []))[0].append((c, payload))
@@ -401,6 +498,7 @@ class _Engine:
                 grp[1].append((c, payload))
         add_ = self._add
         ins_of = {}
+        rules_of = {}
         sl = {}
         for (v, d), (lefts, rights) in groups.items():
             if not rights:
@@ -415,6 +513,9 @@ class _Engine:
             dup = self.zero
             for k, x in enumerate(bag):
                 dup = tuple(map(add, dup, self.values[x][v[k]]))
+            rules = rules_of.get(v)
+            if rules is None:
+                rules = rules_of[v] = _rules(self.tables, bag, off, v, unseen, watched)
             # None where the right side adds nothing, so that the left
             # side's tuple is stored as it is
             rights = [(None if c2 == overlap else tuple(map(sub, c2, overlap)),
@@ -422,8 +523,9 @@ class _Engine:
                       for c2, p2 in rights]
             for c1, p1 in lefts:
                 for c2, p2 in rights:
-                    add_(sl, (v, d, c1 if c2 is None else tuple(map(add, c1, c2))),
-                         p1 if p2 is None else tuple(map(add, p1, p2)))
+                    c = c1 if c2 is None else tuple(map(add, c1, c2))
+                    if _live(c, rules):
+                        add_(sl, (v, d, c), p1 if p2 is None else tuple(map(add, p1, p2)))
         return sl
 
 
@@ -483,7 +585,7 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
                 raise PollInputError("unknown candidate %r" % (c,))
 
     tables = _agent_tables(inst)
-    _, top, alts, friends = tables
+    alts, friends = tables[2], tables[3]
     v = tuple(known[votes[x]] for x in bag)
     rows = []
     for x in bag:
@@ -495,18 +597,10 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
     flat = tuple(itertools.chain.from_iterable(r + (a,) for r, a in zip(rows, ante)))
     key = (v, frozenset(arcs), flat)
     cvec = None if counts is None else tuple(counts.get(c, 0) for c in inst.candidates)
-    if not _keys_compatible(tables, bag, [(key, cvec)], counts is not None):
-        return False
-    # the voting rule, for agents whose whole neighborhood is in the bag
-    for k, x in enumerate(bag):
-        if not friends[x] <= bagset:
-            continue
-        if v[k] == top[x]:
-            if any(2 * q > ante[k] for q in rows[k]):
-                return False
-        elif 2 * rows[k][alts[x].index(v[k])] <= ante[k]:
-            return False
-    return True
+    # the voting rule binds agents whose whole neighborhood is in the bag;
+    # how many friends of the others are still unseen is not known
+    unseen = tuple(0 if friends[x] <= bagset else None for x in bag)
+    return _keys_compatible(tables, bag, [(key, cvec)], counts is not None, unseen)
 
 
 def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):

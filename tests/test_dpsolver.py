@@ -323,16 +323,34 @@ class TestMutuallyCompatible:
             )
 
 
-def reference_keys_compatible(tables, bag, items, counted):
+def can_still_vote(top, alts, vote, s, a, r):
+    """Can an agent with counter row (s, a) still cast `vote` if t of its
+    r unseen friends vote before it, for some t <= r, each raising `a`
+    and at most one `s` field by one? Searches t and the raises."""
+    for t in range(r + 1):
+        if vote == top:
+            # the raises can all go to candidates outside `alts`
+            if all(2 * q <= a + t for q in s):
+                return True
+        elif any(2 * (s[alts.index(vote)] + e) > a + t for e in range(t + 1)):
+            return True
+    return False
+
+
+def reference_keys_compatible(tables, bag, items, counted, unseen):
     """The table-key checker as it stood over nested keys (v, D, s, a),
     with one `s` row and one `a` value per bag agent, checking every
-    condition on every key. Kept as the reference for the flat checker."""
-    prefs, _, alts, friends = tables
+    condition on every key, plus the voting-rule bound of each agent
+    whose `unseen` count is not None. Kept as the reference for the flat
+    checker."""
+    prefs, top, alts, friends = tables
     bagset = frozenset(bag)
     pos = {y: k for k, y in enumerate(bag)}
     nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
     n = len(prefs)
     for (v, dag, s, a), payload in items:
+        if len(s) != len(bag) or any(len(s[k]) != len(alts[x]) for k, x in enumerate(bag)):
+            return False
         for u, w in dag:
             if u == w or u not in bagset or w not in bagset or (w, u) in dag:
                 return False
@@ -360,6 +378,9 @@ def reference_keys_compatible(tables, bag, items, counted):
                 seen = sum(1 for y in ing if v[pos[y]] == c)
                 if s[k][j] < seen or (full and s[k][j] != seen):
                     return False
+            if unseen[k] is not None and not can_still_vote(
+                    top[x], alts[x], v[k], s[k], a[k], unseen[k]):
+                return False
         if counted:
             if any(q < 0 for q in payload) or sum(payload) > n:
                 return False
@@ -369,23 +390,26 @@ def reference_keys_compatible(tables, bag, items, counted):
 
 
 def nested_item(alts, bag, item):
-    """A flat ((v, D, c), payload) item in the nested (v, D, s, a) form."""
+    """A flat ((v, D, c), payload) item in the nested (v, D, s, a) form;
+    fields past the bag's rows become one more row."""
     (v, dag, c), payload = item
     off = dpsolver._offsets(alts, bag)
     rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
+    if len(c) > off[-1]:
+        rows.append(c[off[-1]:])
     return (v, dag, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)), payload
 
 
 def captured_checks(monkeypatch, run):
-    """Every (tables, bag, items, counted) call the sweeps in `run` make
-    to the key checker, with the items listed."""
+    """Every (tables, bag, items, counted, unseen) call the sweeps in
+    `run` make to the key checker, with the items listed."""
     calls = []
     real = dpsolver._keys_compatible
 
-    def spy(tables, bag, items, counted):
+    def spy(tables, bag, items, counted, unseen):
         items = list(items)
-        calls.append((tables, bag, items, counted))
-        return real(tables, bag, items, counted)
+        calls.append((tables, bag, items, counted, unseen))
+        return real(tables, bag, items, counted, unseen)
 
     with monkeypatch.context() as mp:
         mp.setattr(dpsolver, "_keys_compatible", spy)
@@ -393,20 +417,31 @@ def captured_checks(monkeypatch, run):
     return calls
 
 
-def mutants(rng, tables, bag, item, counted, n_candidates):
-    """One-field mutations of a flat item: a vote, an `s` field, an `a`
-    field, an arc dropped or flipped, a count-payload field."""
-    alts = tables[2]
+def mutants(rng, tables, bag, item, counted, n_candidates, unseen):
+    """One-field mutations of a flat item: a vote, an `s` field, an `s`
+    field pushed just past the voting-rule bound, an `a` field, one field
+    too many, an arc dropped or flipped, a count-payload field."""
+    top, alts = tables[1], tables[2]
     (v, dag, c), payload = item
     off = dpsolver._offsets(alts, bag)
-    out = []
+    out = [((v, dag, c + (0,)), payload)]
+
+    def with_field(i, value):
+        return (v, dag, c[:i] + (value,) + c[i + 1:]), payload
+
     if bag:
         k = rng.randrange(len(bag))
         vote = rng.randrange(n_candidates)
         out.append(((v[:k] + (vote,) + v[k + 1:], dag, c), payload))
         for i in range(off[k], off[k + 1]):
-            step = rng.choice((-1, 1))
-            out.append(((v, dag, c[:i] + (c[i] + step,) + c[i + 1:]), payload))
+            out.append(with_field(i, c[i] + rng.choice((-1, 1))))
+        x, ai, r = bag[k], off[k + 1] - 1, unseen[k]
+        if r is not None:
+            if v[k] == top[x]:
+                if ai > off[k]:
+                    out.append(with_field(rng.randrange(off[k], ai), (c[ai] + r) // 2 + 1))
+            elif c[ai] >= r:
+                out.append(with_field(off[k] + alts[x].index(v[k]), (c[ai] - r) // 2))
     if dag:
         u, w = rng.choice(sorted(dag))
         out.append(((v, dag - {(u, w)}, c), payload))
@@ -424,19 +459,20 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     first items of its slice that share its DAG, so that the per-DAG,
     per-(v, D) and repeated-key caches are filled when it arrives (a
     payload mutant then arrives as a repeated key)."""
-    for tables, bag, items, counted in calls:
+    for tables, bag, items, counted, unseen in calls:
         alts = tables[2]
 
         def agree(flat):
             nested = [nested_item(alts, bag, it) for it in flat]
-            assert dpsolver._keys_compatible(tables, bag, flat, counted) == \
-                reference_keys_compatible(tables, bag, nested, counted), (bag, flat)
+            assert dpsolver._keys_compatible(tables, bag, flat, counted, unseen) == \
+                reference_keys_compatible(tables, bag, nested, counted, unseen), (bag, flat)
 
         agree(items)
         for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
             dag = items[idx][0][1]
             before = [it for it in items if it[0][1] == dag][:siblings]
-            for mutant in mutants(rng, tables, bag, items[idx], counted, n_candidates):
+            for mutant in mutants(rng, tables, bag, items[idx], counted, n_candidates,
+                                  unseen):
                 agree([mutant])
                 agree(before + [mutant])
 
@@ -473,9 +509,9 @@ class TestKeyChecker:
 def join_without_overlap(original):
     """A join that adds the in-bag tallies back: one that forgot to
     subtract the overlap of its two sides."""
-    def join(self, nd, left, right):
+    def join(self, nd, left, right, unseen):
         sl = {}
-        for (v, d, c), p in self._pairs(original(self, nd, left, right)):
+        for (v, d, c), p in self._pairs(original(self, nd, left, right, unseen)):
             ins = dpsolver._in_friends(self.nbr, nd.bag, d)
             extra = dpsolver._tallies(self.alts, nd.bag, v, ins)
             self._add(sl, (v, d, tuple(map(add, c, extra))), p)
@@ -488,6 +524,54 @@ def places_without_bumps(original):
     def places(self, *args):
         return [(in_pos, {}, arcs) for in_pos, _, arcs in original(self, *args)]
     return places
+
+
+def unpruned(original):
+    """A leaf, insert or join that prunes nothing: it is told that no
+    bag agent's unseen friends are known."""
+    def transition(self, nd, *args):
+        return original(self, nd, *args[:-1], (None,) * len(nd.bag))
+    return transition
+
+
+def forgotten_row(engine, nd):
+    """Where the forgotten agent sits in the child's bag, and where its
+    row starts and stops in the child's flat counters."""
+    cbag = engine.ntd.nodes[nd.children[0]].bag
+    px = cbag.index(nd.vertex)
+    off = dpsolver._offsets(engine.alts, cbag)
+    return px, off[px], off[px + 1]
+
+
+def forget_keeping_row(original):
+    """A forget that moves the forgotten agent's row to the end of the
+    counters instead of dropping it."""
+    def forget(self, nd, child):
+        px, start, stop = forgotten_row(self, nd)
+        sl = {}
+        for (v, d, c), p in self._pairs(child):
+            arcs = frozenset(arc for arc in d if nd.vertex not in arc)
+            self._add(sl, (v[:px] + v[px + 1:], arcs, c[:start] + c[stop:] + c[start:stop]),
+                      p)
+        return sl
+    return forget
+
+
+def forget_with_rule(original):
+    """A forget that first drops the states whose forgotten agent breaks
+    the voting rule, as a program that prunes nowhere else must."""
+    def forget(self, nd, child):
+        px, start, stop = forgotten_row(self, nd)
+        x = nd.vertex
+
+        def obeys(key):
+            v, _, c = key[0] if self.counted else key
+            s, a = c[start:stop - 1], c[stop - 1]
+            held = [alt for alt, q in zip(self.alts[x], s) if 2 * q > a]
+            return v[px] == (held[0] if held else self.tables[1][x])
+
+        return original(self, nd, {k: p for k, p in child.items() if obeys(k)})
+    return forget
 
 
 class TestSweepCheckIsLive:
@@ -519,3 +603,98 @@ class TestSweepCheckIsLive:
                 achievable_scores_dp(inst, ntd)
             else:
                 margins_dp(inst, ntd, "a")
+
+    # a star whose center joins two pairs of leaves, and an isolated
+    # agent that may only vote its top: each of the leaf, insert and
+    # join makes dead states on it
+    STAR = Instance(
+        ("a", "b"),
+        tuple(AgentPrefs(t, ["a", "b"]) for t in "abbaab"),
+        ((0, 1), (0, 2), (0, 3), (0, 4)),
+        "a",
+    )
+
+    @pytest.mark.parametrize("method", ("_leaf", "_insert", "_join"))
+    @pytest.mark.parametrize("counted", (True, False))
+    def test_unpruned_transition_trips_the_check(self, monkeypatch, method, counted):
+        inst = self.STAR
+        ntd = nice_td_of(inst)
+        assert any(nd.kind == "join" for nd in ntd.nodes)
+        monkeypatch.setattr(dpsolver._Engine, method,
+                            unpruned(getattr(dpsolver._Engine, method)))
+        with pytest.raises(AssertionError, match="incompatible key stored at node"):
+            if counted:
+                achievable_scores_dp(inst, ntd)
+            else:
+                margins_dp(inst, ntd, "a")
+
+    @pytest.mark.parametrize("counted", (True, False))
+    def test_row_kept_past_the_bag_trips_the_check(self, monkeypatch, counted):
+        inst = self.INST
+        ntd = nice_td_of(inst)
+        monkeypatch.setattr(dpsolver._Engine, "_forget",
+                            forget_keeping_row(dpsolver._Engine._forget))
+        with pytest.raises(AssertionError, match="incompatible key stored at node"):
+            if counted:
+                achievable_scores_dp(inst, ntd)
+            else:
+                margins_dp(inst, ntd, "a")
+
+
+def sweeps_with_reference_checker(inst, ntd, pruned):
+    """Per sweep of `sweep_all`, the trace and the root values, with the
+    reference checker on every stored slice. Unpruned, the leaf, insert
+    and join prune nothing, the forget applies the voting rule, and the
+    checker skips the voting-rule bound."""
+    results = []
+
+    def check(tables, bag, items, counted, unseen):
+        if not pruned:
+            unseen = (None,) * len(bag)
+        nested = [nested_item(tables[2], bag, it) for it in items]
+        return reference_keys_compatible(tables, bag, nested, counted, unseen)
+
+    def run(self, real=dpsolver._Engine.run):
+        root = real(self)
+        results.append((self.trace, sorted(root.values())))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpsolver, "_keys_compatible", check)
+        mp.setattr(dpsolver._Engine, "run", run)
+        if not pruned:
+            for method in ("_leaf", "_insert", "_join"):
+                mp.setattr(dpsolver._Engine, method,
+                           unpruned(getattr(dpsolver._Engine, method)))
+            mp.setattr(dpsolver._Engine, "_forget",
+                       forget_with_rule(dpsolver._Engine._forget))
+        if inst.is_unweighted():
+            achievable_scores_dp(inst, ntd, trace=[])
+        for c in inst.candidates:
+            margins_dp(inst, ntd, c, trace=[])
+    return results
+
+
+class TestPruning:
+    @given(small_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_unseen_counts_friends_outside_the_subtree(self, inst):
+        friends = dpsolver._agent_tables(inst)[3]
+        for ntd in all_decompositions(inst):
+            below = []
+            for nd, unseen in zip(ntd.nodes, dpsolver._unseen(ntd, friends)):
+                seen = set(nd.bag).union(*(below[k] for k in nd.children))
+                below.append(seen)
+                assert unseen == tuple(len(friends[x] - seen) for x in nd.bag)
+
+    @given(small_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_pruning_shrinks_every_node_and_keeps_the_roots(self, inst):
+        ntd = nice_td_of(inst)
+        pruned = sweeps_with_reference_checker(inst, ntd, True)
+        full = sweeps_with_reference_checker(inst, ntd, False)
+        assert len(pruned) == len(full)
+        for (trace, root), (full_trace, full_root) in zip(pruned, full):
+            assert root == full_root
+            assert [t[:2] for t in trace] == [t[:2] for t in full_trace]
+            assert all(t[2] <= f[2] for t, f in zip(trace, full_trace))
