@@ -317,9 +317,9 @@ def _run_scores(inst, method, args, trace, td=None):
 
 def _cmd_scores(args):
     inst = _load_instance(args.instance)
+    start = time.monotonic()
     method, td = _method_of(inst, args, "scores")
     trace = [] if args.dump_table else None
-    start = time.monotonic()
     found, extra = _run_scores(inst, method, args, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
     lines = ["question: scores", "method: %s" % method]
@@ -372,9 +372,9 @@ def _cmd_decision(args, question):
     candidate = args.candidate
     if candidate not in inst.candidates:
         raise PollInputError("candidate %r is not declared" % candidate)
+    start = time.monotonic()
     method, td = _method_of(inst, args, question)
     trace = [] if args.dump_table else None
-    start = time.monotonic()
     ok, order, extra = _decide(inst, question, candidate, method, args, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
     lines = [
@@ -464,6 +464,10 @@ def _add_common(sub, decision=False):
     sub.add_argument("--output", help="write the report here instead of stdout")
     if decision:
         sub.add_argument("--candidate", required=True, help="candidate label")
+        sub.add_argument(
+            "--strict-exit", action="store_true",
+            help="exit 2 when the decision is NO",
+        )
     sub.add_argument(
         "--method", choices=("bf", "dp", "auto"), default="auto",
         help="solver: brute-force orientations, tree DP, or pick by shape",
@@ -479,10 +483,6 @@ def _add_common(sub, decision=False):
     sub.add_argument(
         "--cross-check", action="store_true",
         help="run both methods and fail on any disagreement",
-    )
-    sub.add_argument(
-        "--strict-exit", action="store_true",
-        help="exit 2 when the decision is NO",
     )
     sub.add_argument(
         "--dump-table", action="store_true",

@@ -28,6 +28,7 @@ its incremental replay casts.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -316,24 +317,24 @@ def orientation_of(inst, order):
     )
 
 
-def _toposort(n, arcs_out, indegree):
-    """Kahn's algorithm, smallest id first. Returns None on a cycle."""
-    import heapq
-
-    ready = [x for x in range(n) if indegree[x] == 0]
-    heapq.heapify(ready)
-    indeg = list(indegree)
+def _toposort(n, arcs):
+    """Kahn's algorithm over agents 0..n-1, smallest id first: the
+    smallest topological order of `arcs`, as a tuple. None on a cycle."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [x for x in range(n) if indeg[x] == 0]  # sorted, so a heap
     out = []
     while ready:
         x = heapq.heappop(ready)
         out.append(x)
-        for y in arcs_out[x]:
+        for y in succ[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 heapq.heappush(ready, y)
-    if len(out) != n:
-        return None
-    return out
+    return tuple(out) if len(out) == n else None
 
 
 def simulate_orientation(inst, orientation):
@@ -356,23 +357,13 @@ def simulate_orientation(inst, orientation):
     if covered != inst.edges:
         missing = sorted(inst.edges - covered)[0]
         raise PollInputError("edge %r left unoriented" % (missing,))
-    # any topological order will do, so agents are taken breadth first
     n = len(inst.agents)
+    order = _toposort(n, arcs)
+    if order is None:
+        raise PollInputError("orientation contains a directed cycle")
     preceding = [[] for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
     for u, v in arcs:
         preceding[v].append(u)
-        succ[u].append(v)
-        indeg[v] += 1
-    order = [x for x in range(n) if indeg[x] == 0]
-    for x in order:
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                order.append(y)
-    if len(order) != n:
-        raise PollInputError("orientation contains a directed cycle")
     votes = [None] * n
     return _simulation(inst, votes, _cast_votes(inst, order, preceding, votes))
 

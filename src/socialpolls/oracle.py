@@ -8,23 +8,31 @@ by pointwise sums. A guard bounds the product of per-component
 orientation counts; exceeding it raises ResourceLimitError instead of
 running forever.
 
+A score vector stays one packed int from the replay to the answer:
+candidate j owns the bits from `width * j` up, wide enough for the
+poll's total weight, so adding keys adds vectors. Components combine by
+adding keys, those with a single outcome (isolated agents among them)
+first: each shifts every key alike, so keys keep their representatives.
+The table is unpacked into tuples once, at the end.
+
 Orientations are replayed incrementally. The enumerator directs the
 sorted edges one level at a time, depth first, so consecutive
 orientations share all but a suffix of levels. An agent is closed once
 its last edge is directed: its in-neighbours are then known, and it
 votes as soon as they all have, its vote cascading along its out-arcs
 to closed agents that were waiting for it. The set of agents that have
-voted and the running score vector (packed into one int, a bit field per
-candidate) are saved before each level. For each orientation the replay
-restores the state saved before the first level whose arc changed and
-re-runs only the levels from there on; votes fixed before that level
-depend on earlier arcs alone and stay. Every vote goes through
-`model._vote`, the package's single copy of the voting rule.
+voted and the running packed score are saved before each level. For
+each orientation the replay restores the state saved before the first
+level whose arc changed and re-runs only the levels from there on;
+votes fixed before that level depend on earlier arcs alone and stay.
+Every vote goes through `model._vote`, the package's single copy of the
+voting rule.
 
 The enumeration order is fixed, so the first orientation producing each
-score vector is the same as under a from-scratch replay. Witness orders
-are rebuilt from that representative: the smallest topological order of
-the combined orientation, re-simulated by `simulate_order` before being
+score vector is the same as under a from-scratch replay. Witness and
+counterexample orders are built in one place: the smallest topological
+order (`model._toposort`) of the combined orientation of the smallest
+qualifying score tuple, re-simulated by `simulate_order` before being
 reported.
 """
 
@@ -63,13 +71,14 @@ def _sides(x, arcs, edge_ids):
     return into, out, sum(1 << y for y in into)
 
 
-def _component_outcomes(inst, g, comp, budget, stats):
+def _component_outcomes(inst, g, comp, width, product, limit):
     """Achievable partial score vectors of one component.
 
-    Returns a dict mapping each full-length score tuple (zeros outside
+    Returns a dict mapping each packed score key (zero fields outside
     the component) to the first orientation, in original agent ids, that
-    produces it, and the number of orientations. Raises
-    ResourceLimitError after `budget` orientations.
+    produces it, and the number of orientations. `product` is the product
+    of the earlier components' counts; raises ResourceLimitError once the
+    product with this count would exceed `limit`.
     """
     sub, ids = induced_subgraph(g, comp)
     n = sub.n
@@ -77,8 +86,6 @@ def _component_outcomes(inst, g, comp, budget, stats):
     ballots = [inst.ballots[v] for v in ids]
     tops = [row[0] for row in ballots]
     prefs = [row[1] for row in ballots]
-    # one field of `width` bits per candidate holds up to the total weight
-    width = sum(row[2] for row in ballots).bit_length()
     gain = [[w << (width * c) for c in range(len(inst.candidates))]
             for _, _, w in ballots]
     bit = [1 << x for x in range(n)]
@@ -108,13 +115,14 @@ def _component_outcomes(inst, g, comp, budget, stats):
 
     outcomes = {}
     count = 0
+    budget = limit // product
     prev = (None,) * m
     for arcs in enumerate_acyclic_orientations(sub):
         count += 1
         if count > budget:
             raise ResourceLimitError(
-                "orientation guard exceeded at component containing agent %d"
-                % ids[0]
+                "orientation guard exceeded: product %d over %d at component "
+                "containing agent %d" % (product * count, limit, ids[0])
             )
         k = next(itertools.compress(itertools.count(), map(ne, arcs, prev)), m)
         prev = arcs
@@ -145,14 +153,7 @@ def _component_outcomes(inst, g, comp, budget, stats):
                             ready.append(z)
         if score not in outcomes:
             outcomes[score] = tuple((ids[u], ids[v]) for u, v in arcs)
-    if stats is not None:
-        stats["orientations"] = stats.get("orientations", 0) + count
-    field = (1 << width) - 1
-    cands = range(len(inst.candidates))
-    return {
-        tuple(key >> (width * c) & field for c in cands): rep
-        for key, rep in outcomes.items()
-    }, count
+    return outcomes, count
 
 
 def _outcome_table(inst, max_orientations, stats):
@@ -160,39 +161,35 @@ def _outcome_table(inst, max_orientations, stats):
     of the whole graph. The guard bounds the product of per-component
     orientation counts."""
     g = graph_of(inst)
-    comps = connected_components(g)
-    zero = (0,) * len(inst.candidates)
-    table = {zero: ()}
+    width = inst.total_weight().bit_length()
+    parts = []
     product = 1
-    for comp in comps:
-        budget = max_orientations // product
-        if budget < 1:
-            raise ResourceLimitError("orientation guard exceeded")
-        outcomes, count = _component_outcomes(inst, g, comp, budget, stats)
+    total = 0
+    for comp in connected_components(g):
+        outcomes, count = _component_outcomes(
+            inst, g, comp, width, product, max_orientations)
+        parts.append(outcomes)
         product *= count
-        if product > max_orientations:
-            raise ResourceLimitError("orientation guard exceeded")
+        total += count
+    if stats is not None:
+        stats["orientations"] = stats.get("orientations", 0) + total
+    # a one-outcome part only shifts every key, so merging those first
+    # keeps each key's representative
+    table = {0: ()}
+    for outcomes in sorted(parts, key=lambda part: len(part) > 1):
         merged = {}
         for base, rep in table.items():
             for part, arcs in outcomes.items():
-                key = tuple(x + y for x, y in zip(base, part))
+                key = base + part
                 if key not in merged:
                     merged[key] = rep + arcs
         table = merged
-    return table
-
-
-def _order_of(inst, arcs):
-    """Smallest topological order of an orientation, isolated agents
-    included."""
-    n = inst.n_agents
-    arcs_out = [[] for _ in range(n)]
-    indegree = [0] * n
-    for u, v in arcs:
-        arcs_out[u].append(v)
-        indegree[v] += 1
-    order = _toposort(n, arcs_out, indegree)
-    return tuple(order)
+    field = (1 << width) - 1
+    cands = range(len(inst.candidates))
+    return {
+        tuple(key >> (width * c) & field for c in cands): rep
+        for key, rep in table.items()
+    }
 
 
 def achievable_scores_bf(inst, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
@@ -201,22 +198,30 @@ def achievable_scores_bf(inst, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=
     return frozenset(ScoreFunction(inst.candidates, t) for t in table)
 
 
+def _certificate(inst, c, wins, max_orientations, stats):
+    """Witness for the smallest achievable score tuple on which `c`
+    co-wins (`wins` true) or loses (`wins` false), or None if there is
+    none. Its order is the smallest topological order of the tuple's
+    representative orientation, re-simulated."""
+    if c not in inst.candidate_index:
+        raise PollInputError("unknown candidate %r" % (c,))
+    table = _outcome_table(inst, max_orientations, stats)
+    ci = inst.candidate_index[c]
+    key = min((k for k in table if (k[ci] == max(k)) == wins), default=None)
+    if key is None:
+        return None
+    order = _toposort(inst.n_agents, table[key])
+    return Witness(order=order, scores=simulate_order(inst, order).scores)
+
+
 def possible_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
     """Can candidate `c` co-win some voting order?
 
     Returns (decision, witness). The witness order is re-simulated, so
     its scores are guaranteed, not merely claimed.
     """
-    if c not in inst.candidate_index:
-        raise PollInputError("unknown candidate %r" % (c,))
-    table = _outcome_table(inst, max_orientations, stats)
-    ci = inst.candidate_index[c]
-    for key in sorted(table):
-        if key[ci] == max(key):
-            order = _order_of(inst, table[key])
-            sim = simulate_order(inst, order)
-            return True, Witness(order=order, scores=sim.scores)
-    return False, None
+    wit = _certificate(inst, c, True, max_orientations, stats)
+    return wit is not None, wit
 
 
 def necessary_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
@@ -225,16 +230,8 @@ def necessary_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stat
     Returns (decision, counterexample): a witness order on which `c`
     loses when the answer is no.
     """
-    if c not in inst.candidate_index:
-        raise PollInputError("unknown candidate %r" % (c,))
-    table = _outcome_table(inst, max_orientations, stats)
-    ci = inst.candidate_index[c]
-    for key in sorted(table):
-        if key[ci] != max(key):
-            order = _order_of(inst, table[key])
-            sim = simulate_order(inst, order)
-            return False, Witness(order=order, scores=sim.scores)
-    return True, None
+    cex = _certificate(inst, c, False, max_orientations, stats)
+    return cex is None, cex
 
 
 def max_margin_bf(inst, d, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):

@@ -1,6 +1,7 @@
 """Command-line front end: document grammar, reports, exit codes."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,15 @@ class TestDecisionCommands:
         assert code == 2
         assert "counterexample:" in out
 
+    def test_strict_exit_is_for_decisions_only(self, capsys, tmp_path):
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(
+            capsys, "scores", "--instance", path, "--strict-exit",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --strict-exit" in err
+        assert out == ""
+
     def test_cross_check_agrees(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())
         code, out, err = run(
@@ -249,6 +259,7 @@ class TestScoresCommand:
 
         def counted(g):
             calls.append(g)
+            time.sleep(0.05)
             return real(g)
 
         monkeypatch.setattr(cli, "heuristic_td", counted)
@@ -258,6 +269,9 @@ class TestScoresCommand:
         assert code == 0
         assert "method: dp" in out
         assert len(calls) == 1
+        # the decomposition that picks the method is part of the solve
+        elapsed = [l for l in out.splitlines() if l.startswith("elapsed-ms: ")]
+        assert int(elapsed[0].split()[1]) >= 50
 
     def test_auto_falls_back_to_bf_on_weights(self, capsys, tmp_path):
         path = save(tmp_path, p3_gadget())

@@ -6,7 +6,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_scores, small_instances
@@ -45,6 +45,19 @@ def seeded_instance(seed, n, edges, n_candidates=3, max_weight=1):
         prefs = rng.sample(candidates, 2)
         agents.append(AgentPrefs(prefs[0], prefs, rng.randint(1, max_weight)))
     return Instance(candidates, tuple(agents), edges, candidates[0])
+
+
+def split_weighted_seven():
+    """Components {0, 1}, {2}, {3, 4, 5} and {6}: single agents between
+    components with several orientations. The weights sum to 2^5 - 1 and
+    every agent votes `a` when 0 and 4 vote first, so `a` can fill a
+    whole 5-bit field. `a`'s witness tuple (16, 11, 4) comes from two
+    pairs of component outcomes, so the merge order picks its
+    representative."""
+    ballots = [("a", "ab", 5), ("b", "ab", 6), ("a", "ac", 1), ("c", "ac", 4),
+               ("a", "ab", 8), ("b", "ab", 3), ("a", "ac", 4)]
+    agents = tuple(AgentPrefs(top, prefs, w) for top, prefs, w in ballots)
+    return Instance(("a", "b", "c"), agents, [(0, 1), (3, 4), (4, 5)], "a")
 
 
 def reference_table(inst):
@@ -113,6 +126,7 @@ class TestAchievable:
         ("dense", seeded_instance(
             73, 7, [e for e in itertools.combinations(range(7), 2)
                     if e not in {(0, 6), (1, 5), (2, 4)}])),
+        ("split-weighted", split_weighted_seven()),
     ])
     def test_matches_naive_rule_over_all_orders_of_seven(self, name, inst):
         expected = {
@@ -147,6 +161,7 @@ class TestDecisions:
         assert "a" not in winners(simulate_order(inst, counter.order).scores)
 
     @given(small_instances())
+    @example(split_weighted_seven())
     @settings(max_examples=60, deadline=None)
     def test_witness_orders_match_reference(self, inst):
         table = reference_table(inst)
@@ -216,8 +231,10 @@ class TestGuardsAndStats:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inst = instance_union(p3_gadget(), p3_gadget())
-        # each path has 4 orientations; the product 16 exceeds the guard
-        with pytest.raises(ResourceLimitError):
+        # each path has 4 orientations; the second path's third one
+        # takes the product to 4 * 3 = 12, past the guard
+        with pytest.raises(ResourceLimitError,
+                           match="product 12 over 8 at component containing agent 3$"):
             achievable_scores_bf(inst, max_orientations=8)
         achievable_scores_bf(inst, max_orientations=16)
 
