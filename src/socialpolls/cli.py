@@ -30,7 +30,14 @@ from .dpsolver import (
     necessary_winner_dp,
     possible_winner_dp,
 )
-from .graphkit import exact_td_small, graph_of, heuristic_td, make_nice, render_td
+from .graphkit import (
+    exact_td_small,
+    graph_of,
+    heuristic_td,
+    line_tokens,
+    make_nice,
+    render_td,
+)
 from .model import (
     AgentPrefs,
     Instance,
@@ -48,15 +55,6 @@ from .oracle import (
 from . import reductions
 
 
-def _tokens(line):
-    toks = []
-    for tok in line.split():
-        if tok.startswith("#"):
-            break
-        toks.append(tok)
-    return toks
-
-
 def parse_instance(text):
     """Parse an instance document; errors carry the offending line."""
     name = None
@@ -66,7 +64,7 @@ def parse_instance(text):
     agent_lines = {}
     edges = {}
     for ln, line in enumerate(text.splitlines(), 1):
-        toks = _tokens(line)
+        toks = line_tokens(line)
         if not toks:
             continue
         kind = toks[0]
@@ -240,10 +238,6 @@ def _fmt_scores(inst, sf):
     return " ".join("%s=%d" % (c, sf.of(c)) for c in inst.candidates)
 
 
-def _score_key(inst, sf):
-    return tuple(sf.of(c) for c in inst.candidates)
-
-
 def _ntd_of(inst, td=None):
     """The min-fill decomposition (`td` when already built) and its nice form."""
     if td is None:
@@ -332,7 +326,7 @@ def _cmd_scores(args):
             return 1
         lines.append("cross-check: ok")
     lines.append("count: %d" % len(found))
-    for i, sf in enumerate(sorted(found, key=lambda s: _score_key(inst, s)), 1):
+    for i, sf in enumerate(sorted(found, key=lambda s: s.values), 1):
         lines.append("set %d: %s" % (i, _fmt_scores(inst, sf)))
     lines += extra
     lines.append("elapsed-ms: %d" % elapsed)
@@ -343,16 +337,13 @@ def _cmd_scores(args):
 
 
 def _decide(inst, question, candidate, method, args, trace, td=None):
-    """Returns (decision, order or None, extra report lines)."""
+    """Returns (decision, brute-force witness or counterexample or None,
+    extra report lines)."""
     stats = {}
     if method == "bf":
-        if question == "possible":
-            ok, wit = possible_winner_bf(inst, candidate, args.max_orientations, stats)
-            order = wit.order if wit else None
-        else:
-            ok, cex = necessary_winner_bf(inst, candidate, args.max_orientations, stats)
-            order = cex.order if cex else None
-        return ok, order, ["orientations: %d" % stats["orientations"]]
+        solve = possible_winner_bf if question == "possible" else necessary_winner_bf
+        ok, wit = solve(inst, candidate, args.max_orientations, stats)
+        return ok, wit, ["orientations: %d" % stats["orientations"]]
     td, ntd = _ntd_of(inst, td)
     extra = ["width: %d" % td.width]
     if question == "possible":
@@ -375,7 +366,7 @@ def _cmd_decision(args, question):
     start = time.monotonic()
     method, td = _method_of(inst, args, question)
     trace = [] if args.dump_table else None
-    ok, order, extra = _decide(inst, question, candidate, method, args, trace, td)
+    ok, wit, extra = _decide(inst, question, candidate, method, args, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
     lines = [
         "question: %s" % question,
@@ -392,12 +383,11 @@ def _cmd_decision(args, question):
             return 1
         lines.append("cross-check: ok")
     lines.append("decision: %s" % ("YES" if ok else "NO"))
-    if order is not None:
-        sim = simulate_order(inst, order)
+    if wit is not None:
         key = "witness" if question == "possible" else "counterexample"
-        lines.append("%s: %s" % (key, ",".join(map(str, order))))
+        lines.append("%s: %s" % (key, ",".join(map(str, wit.order))))
         for c in inst.candidates:
-            lines.append("%s score %s: %d" % (key, c, sim.scores.of(c)))
+            lines.append("%s score %s: %d" % (key, c, wit.scores.of(c)))
     lines += extra
     lines.append("elapsed-ms: %d" % elapsed)
     if trace is not None:

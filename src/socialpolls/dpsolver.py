@@ -14,13 +14,16 @@ nodes above may still observe about the processed subtree:
   `(s_1, ..., s_k, a)`: `s_j` counts the friends that voted before x
   for `alts[x][j]`, its j-th non-top preferred candidate, and `a` all
   friends that voted before x. Only arcs between actual friends count
-  here; `D` may relate non-adjacent agents. `_offsets` gives where each
-  row starts.
+  here; `D` may relate non-adjacent agents.
 
 With flat counters a join adds two keys' counters with one `map`, a
 forget drops one contiguous slice, and an insert splices in the new
 agent's row and bumps its out-friends' fields by deltas precomputed
-once per admissible place.
+once per admissible place. A leaf seeds the empty state `((),
+frozenset(), ())` and inserts its agent, if any, into it. Everything a
+sweep knows about a bag apart from its keys (row offsets, unseen
+friends, degree caps) is built once per sweep, bottom up, as one
+`_BagRecord` per nice node, which the transitions and the checker read.
 
 The achievable-scores program additionally tracks the per-candidate
 vote counts of the processed subtree; it requires unit weights because
@@ -33,13 +36,13 @@ does not depend on the pair, and keys, transitions and the join's
 double-count correction are additive given the key, so each coordinate
 is the single-pair program and one sweep gives every margin against c.
 
-Dead states are pruned where they are made. `_unseen` gives, per node
-and bag agent x, the number r of x's friends outside the vertices of
-the node's subtree; they may still vote before x, and no other friend
+Dead states are pruned where they are made. A bag record gives, per
+bag agent x, the number r of x's friends outside the vertices of the
+node's subtree; they may still vote before x, and no other friend
 can. A state is dead when no such future can make x's row agree with
-x's vote (`_live`), and the leaf, insert and join nodes never store
-one. At the forget node of x every friend is seen (r = 0), so the bound
-is then exactly the voting rule and the forget node tests nothing.
+x's vote (`_live`), and no leaf, insert or join node stores one. At
+the forget node of x every friend is seen (r = 0), so the bound is
+then exactly the voting rule and the forget node tests nothing.
 A guard bounds the number of live table entries.
 
 The key invariant is written once, in `_keys_compatible`, and includes
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 from operator import add, le, sub
+from typing import NamedTuple
 
 from .graphkit import graph_of, validate_nice
 from .model import (
@@ -72,15 +76,6 @@ def _agent_tables(inst):
     top = tuple(row[0] for row in inst.ballots)
     alts = tuple(tuple(c for c in row if c != t) for row, t in zip(prefs, top))
     return prefs, top, alts, tuple(frozenset(b) for b in inst.adjacency)
-
-
-def _offsets(alts, bag):
-    """Where each bag agent's row starts in a flat counter tuple, in bag
-    order, followed by the tuple's length."""
-    out = [0]
-    for x in bag:
-        out.append(out[-1] + len(alts[x]) + 1)
-    return out
 
 
 def _in_friends(friends, bag, dag):
@@ -123,47 +118,82 @@ def _tallies(alts, bag, v, ins):
     return out
 
 
-def _unseen(ntd, friends):
-    """Per nice node, in bag order, the number of each bag agent's
-    friends outside the vertices of the node's subtree. It depends on
-    the decomposition alone, so one pass bottom up serves a sweep."""
-    out = []
-    for nd in ntd.nodes:
+class _BagRecord(NamedTuple):
+    """What a sweep knows about one nice node's bag apart from its keys.
+    It depends on the instance and the decomposition alone."""
+
+    bag: tuple
+    off: tuple  # where each agent's row starts in `c`, then the length of `c`
+    unseen: tuple  # per agent, its friends outside the subtree, or None
+    inner: tuple  # positions of the agents whose friends all lie in the bag
+    outer: tuple  # positions of the others
+    caps: tuple  # per agent: its degree once per field if outer, else None
+    sums: tuple  # per outer agent with alternatives: its (s_1, a) indexes
+
+
+def _bag_record(alts, friends, bag, unseen):
+    bagset = frozenset(bag)
+    off, inner, outer, caps, sums = [0], [], [], [], []
+    for k, x in enumerate(bag):
+        off.append(off[k] + len(alts[x]) + 1)
+        if friends[x] <= bagset:
+            inner.append(k)
+            caps.append(None)
+        else:
+            outer.append(k)
+            caps.append((len(friends[x]),) * (off[k + 1] - off[k]))
+            if alts[x]:
+                sums.append((off[k], off[k + 1] - 1))
+    return _BagRecord(bag, tuple(off), unseen, tuple(inner), tuple(outer), tuple(caps),
+                      tuple(sums))
+
+
+_EMPTY_BAG = _bag_record((), (), (), ())
+
+
+def _bags(ntd, alts, friends):
+    """Each nice node's bag record, in node order. A bag agent's unseen
+    count is the number of its friends outside the vertices of the
+    node's subtree, so one pass bottom up gives them all; a record is
+    kept only until its parent's is built."""
+    waiting = {}
+    for i, nd in enumerate(ntd.nodes):
         if nd.kind == "leaf":
             row = tuple(len(friends[x]) for x in nd.bag)
         elif nd.kind == "join":
             # the two subtrees share only the bag, so a friend outside
             # the bag that neither side has seen is missed by both
-            left, right = (out[k] for k in nd.children)
+            left, right = (waiting.pop(k).unseen for k in nd.children)
             bagset = frozenset(nd.bag)
             row = tuple(rl + rr - len(friends[x] - bagset)
                         for x, rl, rr in zip(nd.bag, left, right))
         else:
-            cbag = ntd.nodes[nd.children[0]].bag
-            cr = dict(zip(cbag, out[nd.children[0]]))
+            child = waiting.pop(nd.children[0])
+            cr = dict(zip(child.bag, child.unseen))
             y = nd.vertex
             if nd.kind == "forget":
                 row = tuple(cr[x] for x in nd.bag)
             else:
                 # every friend of the new agent in the subtree is in the
                 # child's bag, and its friends there see it now
-                row = tuple(len(friends[y].difference(cbag)) if x == y
+                row = tuple(len(friends[y].difference(child.bag)) if x == y
                             else cr[x] - (x in friends[y]) for x in nd.bag)
-        out.append(row)
-    return out
+        waiting[i] = rec = _bag_record(alts, friends, nd.bag, row)
+        yield rec
 
 
-def _rules(tables, bag, off, v, unseen, positions):
-    """The voting-rule bound of each bag agent, with votes `v` and row
-    offsets `off`, at a position in `positions` whose `unseen` count r
-    is not None. Those r friends may each still vote before the agent,
-    raising its `a` field and at most one `s` field by one. So it is
-    dead when it votes its top and 2·s_j > a + r for some j, or when it
-    votes the alternative j and 2·s_j + r <= a; with r = 0 this is the
-    voting rule itself. Each bound is (f, i, low, high), for `_live`:
-    the agent is alive while low <= 2·c[f] - c[i] <= high, where c[i] is
-    its `a` field and c[f] one of its `s` fields."""
+def _rules(tables, rec, v, positions):
+    """The voting-rule bound of each agent of bag record `rec`, with
+    votes `v`, at a position in `positions` whose unseen count r is not
+    None. Those r friends may each still vote before the agent, raising
+    its `a` field and at most one `s` field by one. So it is dead when
+    it votes its top and 2·s_j > a + r for some j, or when it votes the
+    alternative j and 2·s_j + r <= a; with r = 0 this is the voting
+    rule itself. Each bound is (f, i, low, high), for `_live`: the agent
+    is alive while low <= 2·c[f] - c[i] <= high, where c[i] is its `a`
+    field and c[f] one of its `s` fields."""
     _, top, alts, _ = tables
+    bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = []
     for k in positions:
         r = unseen[k]
@@ -187,13 +217,13 @@ def _live(c, rules):
     return True
 
 
-def _keys_compatible(tables, bag, items, counted, unseen):
-    """Could each key in `items`, ((v, D, c), payload) pairs over `bag`
-    in index form, come from a partial poll whose voting rule every bag
-    agent can still meet? Payloads are count vectors to check too when
-    `counted`. `unseen` gives, per bag position, the agent's friends
-    that have not been seen yet, for the bound of `_live`, or None to
-    skip that agent's bound.
+def _keys_compatible(tables, rec, items, counted):
+    """Could each key in `items`, ((v, D, c), payload) pairs over the bag
+    of record `rec` in index form, come from a partial poll whose voting
+    rule every bag agent can still meet? Payloads are count vectors to
+    check too when `counted`. The record's unseen counts give the bound
+    of `_live`, skipped where None. The checker reads only that static
+    record, never what a transition computed.
 
     The conditions on v alone are checked once per distinct v, and
     those on D alone once per distinct D. The bounds that v and D put
@@ -206,15 +236,7 @@ def _keys_compatible(tables, bag, items, counted, unseen):
     payload checked again."""
     prefs, _, alts, friends = tables
     n = len(prefs)
-    off = _offsets(alts, bag)
-    bagset = frozenset(bag)
-    full = [friends[x] <= bagset for x in bag]
-    inner = [k for k in range(len(bag)) if full[k]]
-    outer = [k for k in range(len(bag)) if not full[k]]
-    # the upper bound of each counter of an agent with friends outside
-    # the bag: its degree
-    caps = [(len(friends[x]),) * (len(alts[x]) + 1) for x in bag]
-    sums = tuple((off[k], off[k + 1] - 1) for k in outer if alts[bag[k]])
+    bag, off, caps, sums = rec.bag, rec.off, rec.caps, rec.sums
     groups = {}  # D -> (in-friend positions, {v: bounds})
     votes = {}  # v -> (payload floor, `_live` bounds of inner, of outer agents)
     checked = {}  # (v, D, c) -> the payload's lower bound, count mode
@@ -239,16 +261,15 @@ def _keys_compatible(tables, bag, items, counted, unseen):
                         floor = [0] * len(payload)
                         for vk in v:
                             floor[vk] += 1
-                    by_vote = votes[v] = (floor,
-                                          _rules(tables, bag, off, v, unseen, inner),
-                                          _rules(tables, bag, off, v, unseen, outer))
+                    by_vote = votes[v] = (floor, _rules(tables, rec, v, rec.inner),
+                                          _rules(tables, rec, v, rec.outer))
                 floor, inner_rules, rules = by_vote
                 lo = _tallies(alts, bag, v, group[0])
                 if not _live(lo, inner_rules):
                     return False
                 hi = ()
                 for k, cap in enumerate(caps):
-                    hi += lo[off[k]:off[k + 1]] if full[k] else cap
+                    hi += lo[off[k]:off[k + 1]] if cap is None else cap
                 bounds = group[1][v] = (lo, hi, floor, rules)
             lo, hi, floor, rules = bounds
             if len(c) != off[-1] or not (all(map(le, lo, c)) and all(map(le, c, hi))):
@@ -274,7 +295,8 @@ class _Engine:
     `(v, D, c)` to a payload whose coordinate j is the largest weighted
     score(rivals[j]) - score(c) over the subtree states with that key,
     maximized per coordinate. Either way `_pairs` yields `((v, D, c),
-    payload)`."""
+    payload)`. `run` builds each node's bag record once, in the same
+    pass, and a leaf is an insert into the empty state."""
 
     def __init__(self, inst, ntd, rivals=None, c=None, max_table=DEFAULT_MAX_TABLE,
                  trace=None, stats=None):
@@ -287,7 +309,6 @@ class _Engine:
         self.tables = _agent_tables(inst)
         self.prefs, _, self.alts, self.nbr = self.tables
         self.altpos = tuple({a: k for k, a in enumerate(alt)} for alt in self.alts)
-        self.unseen = _unseen(ntd, self.nbr)
         # values[x][k]: the payload of agent x voting candidate index k,
         # one shared row per weight
         weights = {ag.weight for ag in inst.agents}
@@ -318,29 +339,26 @@ class _Engine:
         return slice_.keys() if self.counted else slice_.items()
 
     def run(self):
-        slices = {}
+        done = {}  # node -> (bag record, slice), until its parent takes it
         live = 0
-        for i, nd in enumerate(self.ntd.nodes):
-            unseen = self.unseen[i]
+        for i, (nd, rec) in enumerate(zip(self.ntd.nodes, _bags(self.ntd, self.alts, self.nbr))):
             if nd.kind == "leaf":
-                sl = self._leaf(nd, unseen)
-            elif nd.kind == "insert":
-                child = slices.pop(nd.children[0])
-                live -= len(child)
-                sl = self._insert(nd, child, unseen)
-            elif nd.kind == "forget":
-                child = slices.pop(nd.children[0])
-                live -= len(child)
-                sl = self._forget(nd, child)
-            else:
-                left = slices.pop(nd.children[0])
-                right = slices.pop(nd.children[1])
+                sl = {}
+                self._add(sl, ((), frozenset(), ()), self.zero)
+                if nd.bag:
+                    sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
+            elif nd.kind == "join":
+                left, right = (done.pop(k)[1] for k in nd.children)
                 live -= len(left) + len(right)
-                sl = self._join(nd, left, right, unseen)
-            assert _keys_compatible(
-                self.tables, nd.bag, self._pairs(sl), self.counted, unseen
-            ), "incompatible key stored at node %d" % i
-            slices[i] = sl
+                sl = self._join(rec, left, right)
+            else:
+                crec, child = done.pop(nd.children[0])
+                live -= len(child)
+                sl = (self._insert(rec, crec, child, nd.vertex) if nd.kind == "insert"
+                      else self._forget(crec, child, nd.vertex))
+            assert _keys_compatible(self.tables, rec, self._pairs(sl), self.counted), \
+                "incompatible key stored at node %d" % i
+            done[i] = rec, sl
             live += len(sl)
             if live > self.max_table:
                 raise ResourceLimitError(
@@ -351,32 +369,16 @@ class _Engine:
                 self.stats["entries"] = self.stats.get("entries", 0) + len(sl)
             if self.trace is not None:
                 self.trace.append((i, nd.kind, len(sl)))
-        root = slices[self.ntd.root]
+        root = done[self.ntd.root][1]
         if not root:
             raise AssertionError("empty root table; the sweep lost all states")
         return root
 
-    def _leaf(self, nd, unseen):
-        sl = {}
-        if not nd.bag:
-            self._add(sl, ((), frozenset(), ()), self.zero)
-            return sl
-        x = nd.bag[0]
-        row = (0,) * (len(self.alts[x]) + 1)
-        off = _offsets(self.alts, nd.bag)
-        for c in self.prefs[x]:
-            if _live(row, _rules(self.tables, nd.bag, off, (c,), unseen, (0,))):
-                self._add(sl, ((c,), frozenset(), row), self.values[x][c])
-        return sl
-
-    def _insert(self, nd, child, unseen):
-        x = nd.vertex
-        bag = nd.bag
+    def _insert(self, rec, crec, child, x):
+        """Agent x joins the child's bag (record `crec`), giving `rec`."""
+        bag = rec.bag
         px = bag.index(x)
-        cbag = bag[:px] + bag[px + 1:]
-        coff = _offsets(self.alts, cbag)
-        off = _offsets(self.alts, bag)
-        split = coff[px]
+        split = crec.off[px]
         alts_x = self.alts[x]
         vals = self.values[x]
         # only x's row is new, and only its friends' rows and unseen
@@ -391,13 +393,13 @@ class _Engine:
             # adds the same to the payload in every place
             places = places_of.get(cd)
             if places is None:
-                places = places_of[cd] = self._places(x, cbag, cd, coff, px)
+                places = places_of[cd] = self._places(x, crec, cd, px)
             grown = []
             for c in self.prefs[x]:
                 v = cv[:px] + (c,) + cv[px:]
                 rules = rules_of.get(v)
                 if rules is None:
-                    rules = rules_of[v] = _rules(self.tables, bag, off, v, unseen, watched)
+                    rules = rules_of[v] = _rules(self.tables, rec, v, watched)
                 grown.append((c, v, tuple(map(add, payload, vals[c])), rules))
             head, tail = cc[:split], cc[split:]
             for in_pos, bumps, arcs in places:
@@ -411,12 +413,13 @@ class _Engine:
                         add_(sl, (v, arcs, new), grown_payload)
         return sl
 
-    def _places(self, x, cbag, cd, coff, px):
+    def _places(self, x, crec, cd, px):
         """Each admissible place of x relative to the child's DAG `cd`:
         (child positions of the friends before x, {vote of x: the delta
         that the friends after x receive, over the parent's flat
-        counters}, the new DAG). `coff` are the child's row offsets and
+        counters}, the new DAG). `crec` is the child's bag record and
         `px` is x's position in the parent's bag."""
+        cbag, coff = crec.bag, crec.off
         nbrx = self.nbr[x]
         wx = len(self.alts[x]) + 1
         width = coff[-1] + wx
@@ -463,12 +466,10 @@ class _Engine:
             ))
         return places
 
-    def _forget(self, nd, child):
-        x = nd.vertex
-        child_bag = self.ntd.nodes[nd.children[0]].bag
-        px = child_bag.index(x)
-        start = _offsets(self.alts, child_bag)[px]
-        stop = start + len(self.alts[x]) + 1
+    def _forget(self, crec, child, x):
+        """Agent x leaves the child's bag (record `crec`)."""
+        px = crec.bag.index(x)
+        start, stop = crec.off[px], crec.off[px + 1]
         dags = {}
         sl = {}
         # every friend of x is seen below, so the child holds only states
@@ -482,13 +483,8 @@ class _Engine:
                       payload)
         return sl
 
-    def _join(self, nd, left, right, unseen):
-        bag = nd.bag
-        off = _offsets(self.alts, bag)
-        # the rows and unseen counts of agents whose friends all lie in
-        # the bag are the same on both sides and here
-        bagset = frozenset(bag)
-        watched = [k for k, x in enumerate(bag) if not self.nbr[x] <= bagset]
+    def _join(self, rec, left, right):
+        bag = rec.bag
         groups = {}
         for (v, d, c), payload in self._pairs(left):
             groups.setdefault((v, d), ([], []))[0].append((c, payload))
@@ -513,9 +509,11 @@ class _Engine:
             dup = self.zero
             for k, x in enumerate(bag):
                 dup = tuple(map(add, dup, self.values[x][v[k]]))
+            # the rows and unseen counts of agents whose friends all lie
+            # in the bag are the same on both sides and here
             rules = rules_of.get(v)
             if rules is None:
-                rules = rules_of[v] = _rules(self.tables, bag, off, v, unseen, watched)
+                rules = rules_of[v] = _rules(self.tables, rec, v, rec.outer)
             # None where the right side adds nothing, so that the left
             # side's tuple is stored as it is
             rights = [(None if c2 == overlap else tuple(map(sub, c2, overlap)),
@@ -600,7 +598,8 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
     # the voting rule binds agents whose whole neighborhood is in the bag;
     # how many friends of the others are still unseen is not known
     unseen = tuple(0 if friends[x] <= bagset else None for x in bag)
-    return _keys_compatible(tables, bag, [(key, cvec)], counts is not None, unseen)
+    return _keys_compatible(tables, _bag_record(alts, friends, bag, unseen), [(key, cvec)],
+                            counts is not None)
 
 
 def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):

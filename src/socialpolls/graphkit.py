@@ -22,6 +22,9 @@ from functools import cached_property
 
 from .model import PollInputError
 
+# exact_td_small's table has 2^n entries
+_EXACT_MAX_N = 14
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -318,12 +321,12 @@ def heuristic_td(g):
     return _td_from_order(g, _min_fill_order(g))
 
 
-def exact_td_small(g, max_n=14):
+def exact_td_small(g):
     """Minimum-width tree decomposition by dynamic programming over
     vertex subsets. Only for small graphs; the table has 2^n entries."""
-    if g.n > max_n:
+    if g.n > _EXACT_MAX_N:
         raise PollInputError(
-            "exact decomposition limited to %d vertices, got %d" % (max_n, g.n)
+            "exact decomposition limited to %d vertices, got %d" % (_EXACT_MAX_N, g.n)
         )
     n = g.n
     if n == 0:
@@ -545,16 +548,23 @@ def render_td(td):
     return "\n".join(out) + "\n"
 
 
+def line_tokens(line):
+    """The whitespace-separated tokens of a document line, up to the
+    first one that starts with '#'."""
+    toks = []
+    for tok in line.split():
+        if tok.startswith("#"):
+            break
+        toks.append(tok)
+    return toks
+
+
 def parse_td(text):
     """Parse the bag/treeedge line format back into a decomposition."""
     bags = {}
     edges = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        tokens = []
-        for tok in raw.split():
-            if tok.startswith("#"):
-                break
-            tokens.append(tok)
+        tokens = line_tokens(raw)
         if not tokens:
             continue
         kind, args = tokens[0], tokens[1:]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialpolls import cli
+from socialpolls import cli, oracle
 from socialpolls.cli import main, parse_instance, render_instance
 from socialpolls.model import AgentPrefs, Instance, PollInputError, instance_union
 from socialpolls.reductions import (
@@ -16,6 +16,7 @@ from socialpolls.reductions import (
     gen_partition_wpw,
     gen_random,
 )
+import test_dpsolver
 from test_model import p3_gadget, two_agent_edge
 
 
@@ -186,6 +187,29 @@ class TestDecisionCommands:
         assert "method: dp" in out
         assert "table-entries: 0" in out
 
+    @pytest.mark.parametrize("question, key, order", [
+        ("possible", "witness", (0, 1)), ("necessary", "counterexample", (1, 0)),
+    ])
+    def test_certificate_simulated_once(self, capsys, tmp_path, monkeypatch,
+                                        question, key, order):
+        orders = []
+        real = cli.simulate_order
+
+        def counted(inst, seq):
+            orders.append(tuple(seq))
+            return real(inst, seq)
+
+        monkeypatch.setattr(cli, "simulate_order", counted)
+        monkeypatch.setattr(oracle, "simulate_order", counted)
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(
+            capsys, question, "--instance", path,
+            "--candidate", "a", "--method", "bf",
+        )
+        assert code == 0
+        assert orders == [order]
+        assert "%s: %s" % (key, ",".join(map(str, order))) in out
+
     def test_strict_exit_on_no(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())
         code, out, err = run(
@@ -287,6 +311,33 @@ class TestScoresCommand:
         )
         assert code == 0
         assert "node 0 type leaf entries" in out
+
+    # per-node DP slice sizes of two fixed polls, in count mode (`scores`)
+    # and in margin mode (`necessary`): L leaf, I insert, F forget, J join
+    KINDS = {"L": "leaf", "I": "insert", "F": "forget", "J": "join"}
+
+    @pytest.mark.parametrize("poll, question, kinds, entries", [
+        ("INST", "scores", "LILIFIFIJIFFIFF",
+         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 40, 21, 20, 14, 10)),
+        ("INST", "necessary", "LILIFIFIJIFFIFF",
+         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 35, 12, 12, 4, 1)),
+        ("STAR", "scores", "LILILFIFIFIIJJFIFF",
+         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
+        ("STAR", "necessary", "LILILFIFIFIIJJFIFF",
+         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 3, 1)),
+    ])
+    def test_dump_table_rows(self, capsys, tmp_path, poll, question, kinds, entries):
+        path = save(tmp_path, getattr(test_dpsolver.TestSweepCheckIsLive, poll))
+        extra = ("--candidate", "a") if question == "necessary" else ()
+        code, out, err = run(
+            capsys, question, "--instance", path, *extra,
+            "--method", "dp", "--dump-table",
+        )
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("node ")]
+        assert rows == ["node %d type %s entries %d" % (i, self.KINDS[k], e)
+                        for i, (k, e) in enumerate(zip(kinds, entries))]
+        assert "table-entries: %d" % sum(entries) in out
 
     def test_output_file(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())

@@ -389,11 +389,12 @@ def reference_keys_compatible(tables, bag, items, counted, unseen):
     return True
 
 
-def nested_item(alts, bag, item):
-    """A flat ((v, D, c), payload) item in the nested (v, D, s, a) form;
-    fields past the bag's rows become one more row."""
+def nested_item(rec, item):
+    """A flat ((v, D, c), payload) item over bag record `rec` in the
+    nested (v, D, s, a) form; fields past the bag's rows become one more
+    row."""
     (v, dag, c), payload = item
-    off = dpsolver._offsets(alts, bag)
+    bag, off = rec.bag, rec.off
     rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
     if len(c) > off[-1]:
         rows.append(c[off[-1]:])
@@ -401,15 +402,15 @@ def nested_item(alts, bag, item):
 
 
 def captured_checks(monkeypatch, run):
-    """Every (tables, bag, items, counted, unseen) call the sweeps in
+    """Every (tables, bag record, items, counted) call the sweeps in
     `run` make to the key checker, with the items listed."""
     calls = []
     real = dpsolver._keys_compatible
 
-    def spy(tables, bag, items, counted, unseen):
+    def spy(tables, rec, items, counted):
         items = list(items)
-        calls.append((tables, bag, items, counted, unseen))
-        return real(tables, bag, items, counted, unseen)
+        calls.append((tables, rec, items, counted))
+        return real(tables, rec, items, counted)
 
     with monkeypatch.context() as mp:
         mp.setattr(dpsolver, "_keys_compatible", spy)
@@ -417,13 +418,13 @@ def captured_checks(monkeypatch, run):
     return calls
 
 
-def mutants(rng, tables, bag, item, counted, n_candidates, unseen):
+def mutants(rng, tables, rec, item, counted, n_candidates):
     """One-field mutations of a flat item: a vote, an `s` field, an `s`
     field pushed just past the voting-rule bound, an `a` field, one field
     too many, an arc dropped or flipped, a count-payload field."""
     top, alts = tables[1], tables[2]
     (v, dag, c), payload = item
-    off = dpsolver._offsets(alts, bag)
+    bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = [((v, dag, c + (0,)), payload)]
 
     def with_field(i, value):
@@ -459,20 +460,18 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     first items of its slice that share its DAG, so that the per-DAG,
     per-(v, D) and repeated-key caches are filled when it arrives (a
     payload mutant then arrives as a repeated key)."""
-    for tables, bag, items, counted, unseen in calls:
-        alts = tables[2]
-
+    for tables, rec, items, counted in calls:
         def agree(flat):
-            nested = [nested_item(alts, bag, it) for it in flat]
-            assert dpsolver._keys_compatible(tables, bag, flat, counted, unseen) == \
-                reference_keys_compatible(tables, bag, nested, counted, unseen), (bag, flat)
+            nested = [nested_item(rec, it) for it in flat]
+            assert dpsolver._keys_compatible(tables, rec, flat, counted) == \
+                reference_keys_compatible(tables, rec.bag, nested, counted,
+                                          rec.unseen), (rec.bag, flat)
 
         agree(items)
         for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
             dag = items[idx][0][1]
             before = [it for it in items if it[0][1] == dag][:siblings]
-            for mutant in mutants(rng, tables, bag, items[idx], counted, n_candidates,
-                                  unseen):
+            for mutant in mutants(rng, tables, rec, items[idx], counted, n_candidates):
                 agree([mutant])
                 agree(before + [mutant])
 
@@ -509,11 +508,11 @@ class TestKeyChecker:
 def join_without_overlap(original):
     """A join that adds the in-bag tallies back: one that forgot to
     subtract the overlap of its two sides."""
-    def join(self, nd, left, right, unseen):
+    def join(self, rec, left, right):
         sl = {}
-        for (v, d, c), p in self._pairs(original(self, nd, left, right, unseen)):
-            ins = dpsolver._in_friends(self.nbr, nd.bag, d)
-            extra = dpsolver._tallies(self.alts, nd.bag, v, ins)
+        for (v, d, c), p in self._pairs(original(self, rec, left, right)):
+            ins = dpsolver._in_friends(self.nbr, rec.bag, d)
+            extra = dpsolver._tallies(self.alts, rec.bag, v, ins)
             self._add(sl, (v, d, tuple(map(add, c, extra))), p)
         return sl
     return join
@@ -526,31 +525,34 @@ def places_without_bumps(original):
     return places
 
 
-def unpruned(original):
-    """A leaf, insert or join that prunes nothing: it is told that no
-    bag agent's unseen friends are known."""
-    def transition(self, nd, *args):
-        return original(self, nd, *args[:-1], (None,) * len(nd.bag))
+def unpruned(original, leaves_only=False):
+    """An insert (and so a leaf) or join that prunes nothing: its bag
+    record says that no bag agent's unseen friends are known. With
+    `leaves_only`, only the inserts that fill a one-agent leaf."""
+    def transition(self, rec, *args):
+        if not leaves_only or args[0] is dpsolver._EMPTY_BAG:
+            rec = rec._replace(unseen=(None,) * len(rec.bag))
+        return original(self, rec, *args)
     return transition
 
 
-def forgotten_row(engine, nd):
-    """Where the forgotten agent sits in the child's bag, and where its
-    row starts and stops in the child's flat counters."""
-    cbag = engine.ntd.nodes[nd.children[0]].bag
-    px = cbag.index(nd.vertex)
-    off = dpsolver._offsets(engine.alts, cbag)
+def forgotten_row(crec, x):
+    """Where the forgotten agent x sits in the child's bag (record
+    `crec`), and where its row starts and stops in the child's flat
+    counters."""
+    px = crec.bag.index(x)
+    off = crec.off
     return px, off[px], off[px + 1]
 
 
 def forget_keeping_row(original):
     """A forget that moves the forgotten agent's row to the end of the
     counters instead of dropping it."""
-    def forget(self, nd, child):
-        px, start, stop = forgotten_row(self, nd)
+    def forget(self, crec, child, x):
+        px, start, stop = forgotten_row(crec, x)
         sl = {}
         for (v, d, c), p in self._pairs(child):
-            arcs = frozenset(arc for arc in d if nd.vertex not in arc)
+            arcs = frozenset(arc for arc in d if x not in arc)
             self._add(sl, (v[:px] + v[px + 1:], arcs, c[:start] + c[stop:] + c[start:stop]),
                       p)
         return sl
@@ -560,9 +562,8 @@ def forget_keeping_row(original):
 def forget_with_rule(original):
     """A forget that first drops the states whose forgotten agent breaks
     the voting rule, as a program that prunes nowhere else must."""
-    def forget(self, nd, child):
-        px, start, stop = forgotten_row(self, nd)
-        x = nd.vertex
+    def forget(self, crec, child, x):
+        px, start, stop = forgotten_row(crec, x)
 
         def obeys(key):
             v, _, c = key[0] if self.counted else key
@@ -570,7 +571,7 @@ def forget_with_rule(original):
             held = [alt for alt, q in zip(self.alts[x], s) if 2 * q > a]
             return v[px] == (held[0] if held else self.tables[1][x])
 
-        return original(self, nd, {k: p for k, p in child.items() if obeys(k)})
+        return original(self, crec, {k: p for k, p in child.items() if obeys(k)}, x)
     return forget
 
 
@@ -614,19 +615,26 @@ class TestSweepCheckIsLive:
         "a",
     )
 
-    @pytest.mark.parametrize("method", ("_leaf", "_insert", "_join"))
+    @pytest.mark.parametrize("kind", ("leaf", "insert", "join"))
     @pytest.mark.parametrize("counted", (True, False))
-    def test_unpruned_transition_trips_the_check(self, monkeypatch, method, counted):
+    def test_unpruned_transition_trips_the_check(self, monkeypatch, kind, counted):
         inst = self.STAR
         ntd = nice_td_of(inst)
         assert any(nd.kind == "join" for nd in ntd.nodes)
+        # a one-agent leaf is an insert into the empty state
+        method = "_join" if kind == "join" else "_insert"
         monkeypatch.setattr(dpsolver._Engine, method,
-                            unpruned(getattr(dpsolver._Engine, method)))
-        with pytest.raises(AssertionError, match="incompatible key stored at node"):
+                            unpruned(getattr(dpsolver._Engine, method), kind == "leaf"))
+        with pytest.raises(AssertionError,
+                           match=r"^incompatible key stored at node \d+$") as info:
             if counted:
                 achievable_scores_dp(inst, ntd)
             else:
                 margins_dp(inst, ntd, "a")
+        node = ntd.nodes[int(str(info.value).split()[-1])]
+        assert node.kind == kind
+        if kind == "leaf":
+            assert node.bag == (5,)  # the isolated agent votes its top or dies
 
     @pytest.mark.parametrize("counted", (True, False))
     def test_row_kept_past_the_bag_trips_the_check(self, monkeypatch, counted):
@@ -643,16 +651,15 @@ class TestSweepCheckIsLive:
 
 def sweeps_with_reference_checker(inst, ntd, pruned):
     """Per sweep of `sweep_all`, the trace and the root values, with the
-    reference checker on every stored slice. Unpruned, the leaf, insert
-    and join prune nothing, the forget applies the voting rule, and the
-    checker skips the voting-rule bound."""
+    reference checker on every stored slice. Unpruned, the insert (so
+    the leaf too) and join prune nothing, the forget applies the voting
+    rule, and the checker skips the voting-rule bound."""
     results = []
 
-    def check(tables, bag, items, counted, unseen):
-        if not pruned:
-            unseen = (None,) * len(bag)
-        nested = [nested_item(tables[2], bag, it) for it in items]
-        return reference_keys_compatible(tables, bag, nested, counted, unseen)
+    def check(tables, rec, items, counted):
+        unseen = rec.unseen if pruned else (None,) * len(rec.bag)
+        nested = [nested_item(rec, it) for it in items]
+        return reference_keys_compatible(tables, rec.bag, nested, counted, unseen)
 
     def run(self, real=dpsolver._Engine.run):
         root = real(self)
@@ -663,7 +670,7 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
         mp.setattr(dpsolver, "_keys_compatible", check)
         mp.setattr(dpsolver._Engine, "run", run)
         if not pruned:
-            for method in ("_leaf", "_insert", "_join"):
+            for method in ("_insert", "_join"):
                 mp.setattr(dpsolver._Engine, method,
                            unpruned(getattr(dpsolver._Engine, method)))
             mp.setattr(dpsolver._Engine, "_forget",
@@ -679,13 +686,14 @@ class TestPruning:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_unseen_counts_friends_outside_the_subtree(self, inst):
-        friends = dpsolver._agent_tables(inst)[3]
+        _, _, alts, friends = dpsolver._agent_tables(inst)
         for ntd in all_decompositions(inst):
             below = []
-            for nd, unseen in zip(ntd.nodes, dpsolver._unseen(ntd, friends)):
+            for nd, rec in zip(ntd.nodes, dpsolver._bags(ntd, alts, friends)):
                 seen = set(nd.bag).union(*(below[k] for k in nd.children))
                 below.append(seen)
-                assert unseen == tuple(len(friends[x] - seen) for x in nd.bag)
+                assert rec.bag == nd.bag
+                assert rec.unseen == tuple(len(friends[x] - seen) for x in nd.bag)
 
     @given(small_instances())
     @settings(max_examples=40, deadline=None)

@@ -237,7 +237,7 @@ class TestTreeDecomposition:
         assert exact_td_small(cycle).width == 2
         assert exact_td_small(k4).width == 3
         with pytest.raises(PollInputError):
-            exact_td_small(Graph(15, []), max_n=14)
+            exact_td_small(Graph(15, []))
 
     @given(st.integers(0, 400), st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
