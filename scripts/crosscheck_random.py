@@ -1,9 +1,10 @@
 """Seeded sweep comparing the decomposition solver against brute force.
 
 Unweighted instances compare the full achievable-score sets; weighted
-instances compare every ordered-pair margin and every necessary-winner
-decision. Prints one line per mismatch and a summary; exits 1 when any
-mismatch was found.
+instances compare every ordered-pair margin, and every necessary-winner
+decision and offending candidate with the first rival whose brute-force
+margin is positive. Prints one line per mismatch and a summary; exits 1
+when any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -19,7 +20,7 @@ from socialpolls.dpsolver import (
     margins_dp,
     necessary_winner_dp,
 )
-from socialpolls.graphkit import graph_of, heuristic_td, make_nice
+from socialpolls.graphkit import heuristic_td, make_nice
 from socialpolls.oracle import (
     achievable_scores_bf,
     max_margin_bf,
@@ -38,15 +39,19 @@ def check_unweighted(inst, ntd):
 def check_weighted(inst, ntd):
     mism = []
     for c in inst.candidates:
+        bf = {d: max_margin_bf(inst, d, c) for d in inst.candidates if d != c}
         # one sweep gives the margins of every rival d against c
         for d, dp in margins_dp(inst, ntd, c).items():
-            bf = max_margin_bf(inst, d, c)
-            if dp != bf:
-                mism.append("margin(%s,%s): dp=%d bf=%d" % (d, c, dp, bf))
-        dp = necessary_winner_dp(inst, ntd, c)[0]
-        bf = necessary_winner_bf(inst, c)[0]
-        if dp != bf:
-            mism.append("necessary(%s): dp=%s bf=%s" % (c, dp, bf))
+            if dp != bf[d]:
+                mism.append("margin(%s,%s): dp=%d bf=%d" % (d, c, dp, bf[d]))
+        # the offender is the first rival, in candidate order, that can beat c
+        first = next((d for d, margin in bf.items() if margin > 0), None)
+        expected = (first is None, first)
+        dp = necessary_winner_dp(inst, ntd, c)
+        if dp != expected:
+            mism.append("necessary(%s): dp=%s bf=%s" % (c, dp, expected))
+        if necessary_winner_bf(inst, c)[0] != expected[0]:
+            mism.append("necessary(%s): bf decision disagrees with bf margins" % c)
     return mism
 
 
@@ -75,9 +80,9 @@ def main(argv=None):
                 edge_prob=args.edge_prob,
                 max_weight=9 if args.weighted else 1,
             )
-            if len(graph_of(inst).edges) <= args.max_edges:
+            if len(inst.graph.edges) <= args.max_edges:
                 break
-        ntd = make_nice(heuristic_td(graph_of(inst)))
+        ntd = make_nice(heuristic_td(inst.graph))
         check = check_weighted if args.weighted else check_unweighted
         mism = check(inst, ntd)
         if mism:

@@ -2,8 +2,9 @@
 
 Library layout:
 
-* `model`: instances, the voting rule, simulation.
-* `graphkit`: graph helpers, tree decompositions, orientation counting.
+* `model`: instances and their friendship graphs, the voting rule,
+  simulation.
+* `graphkit`: graph algorithms, tree decompositions, orientation counting.
 * `oracle`: brute-force solvers enumerating acyclic orientations.
 * `dpsolver`: dynamic programs over nice tree decompositions.
 * `reductions`: hardness gadget generators and witness orders.

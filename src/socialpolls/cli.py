@@ -32,7 +32,6 @@ from .dpsolver import (
 )
 from .graphkit import (
     exact_td_small,
-    graph_of,
     heuristic_td,
     line_tokens,
     make_nice,
@@ -238,10 +237,10 @@ def _fmt_scores(inst, sf):
     return " ".join("%s=%d" % (c, sf.of(c)) for c in inst.candidates)
 
 
-def _ntd_of(inst, td=None):
+def _ntd_of(inst, td):
     """The min-fill decomposition (`td` when already built) and its nice form."""
     if td is None:
-        td = heuristic_td(graph_of(inst))
+        td = heuristic_td(inst.graph)
     return td, make_nice(td)
 
 
@@ -252,7 +251,7 @@ def _method_of(inst, args, question):
     again."""
     if args.method != "auto":
         return args.method, None
-    td = heuristic_td(graph_of(inst))
+    td = heuristic_td(inst.graph)
     if td.width <= 3 and (question == "necessary" or (
             inst.is_unweighted() and len(inst.candidates) <= 3)):
         return "dp", td
@@ -298,117 +297,86 @@ def _cmd_simulate(args):
     return 0
 
 
-def _run_scores(inst, method, args, trace, td=None):
-    if method == "bf":
-        stats = {}
-        found = achievable_scores_bf(inst, args.max_orientations, stats=stats)
-        return found, ["orientations: %d" % stats["orientations"]]
-    stats = {}
-    td, ntd = _ntd_of(inst, td)
-    found = achievable_scores_dp(inst, ntd, args.max_table, trace=trace, stats=stats)
-    return found, ["width: %d" % td.width, "table-entries: %d" % stats["entries"]]
-
-
-def _cmd_scores(args):
-    inst = _load_instance(args.instance)
-    start = time.monotonic()
-    method, td = _method_of(inst, args, "scores")
-    trace = [] if args.dump_table else None
-    found, extra = _run_scores(inst, method, args, trace, td)
-    elapsed = int((time.monotonic() - start) * 1000)
-    lines = ["question: scores", "method: %s" % method]
-    if args.cross_check:
-        other = "dp" if method == "bf" else "bf"
-        against, _ = _run_scores(inst, other, args, None, td)
-        if against != found:
-            lines.append("cross-check: mismatch")
-            _emit(lines, args.output)
-            return 1
-        lines.append("cross-check: ok")
-    lines.append("count: %d" % len(found))
-    for i, sf in enumerate(sorted(found, key=lambda s: s.values), 1):
-        lines.append("set %d: %s" % (i, _fmt_scores(inst, sf)))
-    lines += extra
-    lines.append("elapsed-ms: %d" % elapsed)
-    if trace is not None:
-        lines += _dump_lines(trace)
-    _emit(lines, args.output)
-    return 0
-
-
-def _decide(inst, question, candidate, method, args, trace, td=None):
-    """Returns (decision, brute-force witness or counterexample or None,
-    extra report lines)."""
+def _solve(inst, args, method, trace, td):
+    """(answer, brute-force witness or counterexample or None, extra
+    report lines) for the question `args.command` by `method`. The answer
+    is the set of achievable score functions for `scores` and the
+    decision otherwise."""
+    question = args.command
     stats = {}
     if method == "bf":
-        solve = possible_winner_bf if question == "possible" else necessary_winner_bf
-        ok, wit = solve(inst, candidate, args.max_orientations, stats)
-        return ok, wit, ["orientations: %d" % stats["orientations"]]
+        if question == "scores":
+            answer, cert = achievable_scores_bf(inst, args.max_orientations, stats), None
+        else:
+            solve = possible_winner_bf if question == "possible" else necessary_winner_bf
+            answer, cert = solve(inst, args.candidate, args.max_orientations, stats)
+        return answer, cert, ["orientations: %d" % stats["orientations"]]
     td, ntd = _ntd_of(inst, td)
-    extra = ["width: %d" % td.width]
-    if question == "possible":
-        ok = possible_winner_dp(inst, ntd, candidate, args.max_table, trace, stats)
-        extra.append("table-entries: %d" % stats["entries"])
-        return ok, None, extra
-    ok, offender = necessary_winner_dp(inst, ntd, candidate, args.max_table, trace, stats)
+    offender = None
+    if question == "scores":
+        answer = achievable_scores_dp(inst, ntd, args.max_table, trace, stats)
+    elif question == "possible":
+        answer = possible_winner_dp(inst, ntd, args.candidate, args.max_table, trace, stats)
+    else:
+        answer, offender = necessary_winner_dp(inst, ntd, args.candidate, args.max_table,
+                                               trace, stats)
     # a single-candidate poll has no rival, so no sweep runs
-    extra.append("table-entries: %d" % stats.get("entries", 0))
+    extra = ["width: %d" % td.width, "table-entries: %d" % stats.get("entries", 0)]
     if offender is not None:
         extra.append("offending-candidate: %s" % offender)
-    return ok, None, extra
+    return answer, None, extra
 
 
-def _cmd_decision(args, question):
+def _cmd_question(args):
+    """scores, possible and necessary: solve, cross-check, report."""
     inst = _load_instance(args.instance)
-    candidate = args.candidate
-    if candidate not in inst.candidates:
-        raise PollInputError("candidate %r is not declared" % candidate)
+    question = args.command
+    lines = ["question: %s" % question]
+    if question != "scores":
+        if args.candidate not in inst.candidates:
+            raise PollInputError("candidate %r is not declared" % args.candidate)
+        lines.append("candidate: %s" % args.candidate)
     start = time.monotonic()
     method, td = _method_of(inst, args, question)
     trace = [] if args.dump_table else None
-    ok, wit, extra = _decide(inst, question, candidate, method, args, trace, td)
+    answer, cert, extra = _solve(inst, args, method, trace, td)
     elapsed = int((time.monotonic() - start) * 1000)
-    lines = [
-        "question: %s" % question,
-        "candidate: %s" % candidate,
-        "method: %s" % method,
-    ]
-    status = 0
+    lines.append("method: %s" % method)
     if args.cross_check:
-        other = "dp" if method == "bf" else "bf"
-        ok2, _, _ = _decide(inst, question, candidate, other, args, None, td)
-        if ok2 != ok:
+        if _solve(inst, args, "dp" if method == "bf" else "bf", None, td)[0] != answer:
             lines.append("cross-check: mismatch")
             _emit(lines, args.output)
             return 1
         lines.append("cross-check: ok")
-    lines.append("decision: %s" % ("YES" if ok else "NO"))
-    if wit is not None:
+    if question == "scores":
+        lines.append("count: %d" % len(answer))
+        for i, sf in enumerate(sorted(answer, key=lambda s: s.values), 1):
+            lines.append("set %d: %s" % (i, _fmt_scores(inst, sf)))
+    else:
+        lines.append("decision: %s" % ("YES" if answer else "NO"))
+    if cert is not None:
         key = "witness" if question == "possible" else "counterexample"
-        lines.append("%s: %s" % (key, ",".join(map(str, wit.order))))
+        lines.append("%s: %s" % (key, ",".join(map(str, cert.order))))
         for c in inst.candidates:
-            lines.append("%s score %s: %d" % (key, c, wit.scores.of(c)))
+            lines.append("%s score %s: %d" % (key, c, cert.scores.of(c)))
     lines += extra
     lines.append("elapsed-ms: %d" % elapsed)
     if trace is not None:
         lines += _dump_lines(trace)
     _emit(lines, args.output)
-    if not ok and args.strict_exit:
-        status = 2
-    return status
+    return 2 if question != "scores" and args.strict_exit and not answer else 0
 
 
 def _cmd_td(args):
     inst = _load_instance(args.instance)
-    g = graph_of(inst)
-    td = heuristic_td(g)
+    td = heuristic_td(inst.graph)
     lines = [
         "question: td",
         "width: %d" % td.width,
         "bags: %d" % len(td.bags),
     ]
     if args.exact:
-        lines.append("exact-width: %d" % exact_td_small(g).width)
+        lines.append("exact-width: %d" % exact_td_small(inst.graph).width)
     lines += render_td(td).splitlines()
     _emit(lines, args.output)
     return 0
@@ -558,10 +526,8 @@ def main(argv=None):
             return _cmd_validate(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "scores":
-            return _cmd_scores(args)
-        if args.command in ("possible", "necessary"):
-            return _cmd_decision(args, args.command)
+        if args.command in ("scores", "possible", "necessary"):
+            return _cmd_question(args)
         if args.command == "td":
             return _cmd_td(args)
         return _cmd_gen(args)

@@ -57,7 +57,7 @@ import itertools
 from operator import add, le, sub
 from typing import NamedTuple
 
-from .graphkit import graph_of, validate_nice
+from .graphkit import validate_nice
 from .model import (
     PollInputError,
     ResourceLimitError,
@@ -75,7 +75,7 @@ def _agent_tables(inst):
     prefs = tuple(row[1] for row in inst.ballots)
     top = tuple(row[0] for row in inst.ballots)
     alts = tuple(tuple(c for c in row if c != t) for row, t in zip(prefs, top))
-    return prefs, top, alts, tuple(frozenset(b) for b in inst.adjacency)
+    return prefs, top, alts, tuple(frozenset(b) for b in inst.graph.adjacency)
 
 
 def _in_friends(friends, bag, dag):
@@ -609,7 +609,7 @@ def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, sta
         raise UnsupportedModeError(
             "the achievable-scores program requires an unweighted instance"
         )
-    validate_nice(graph_of(inst), ntd)
+    validate_nice(inst.graph, ntd)
     root = _Engine(inst, ntd, max_table=max_table, trace=trace, stats=stats).run()
     return frozenset(ScoreFunction(inst.candidates, p) for p in root.values())
 
@@ -625,32 +625,18 @@ def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, st
     return False
 
 
-def max_margin_dp(inst, ntd, d, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
-    """Largest achievable weighted score(d) - score(c), any weights."""
-    for label in (d, c):
-        if label not in inst.candidate_index:
-            raise PollInputError("unknown candidate %r" % (label,))
-    validate_nice(graph_of(inst), ntd)
-    return _margins(inst, ntd, c, (d,), max_table, trace, stats)[d]
-
-
 def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
     """{d: largest achievable weighted score(d) - score(c)} for every
     other candidate d, in candidate order, from one sweep. Any weights."""
-    if c not in inst.candidate_index:
+    index = inst.candidate_index
+    if c not in index:
         raise PollInputError("unknown candidate %r" % (c,))
-    validate_nice(graph_of(inst), ntd)
+    validate_nice(inst.graph, ntd)
     rivals = tuple(d for d in inst.candidates if d != c)
     if not rivals:
         return {}
-    return _margins(inst, ntd, c, rivals, max_table, trace, stats)
-
-
-def _margins(inst, ntd, c, rivals, max_table, trace, stats):
-    index = inst.candidate_index
-    engine = _Engine(inst, ntd, rivals=tuple(index[d] for d in rivals), c=index[c],
-                     max_table=max_table, trace=trace, stats=stats)
-    root = engine.run()
+    root = _Engine(inst, ntd, rivals=tuple(index[d] for d in rivals), c=index[c],
+                   max_table=max_table, trace=trace, stats=stats).run()
     if len(root) != 1:
         raise AssertionError("margin root table should hold exactly one value")
     return dict(zip(rivals, next(iter(root.values()))))

@@ -1,6 +1,9 @@
-"""Undirected graph helpers for the poll solvers.
+"""Undirected graph algorithms for the poll solvers.
 
-Provides connected components, enumeration of acyclic orientations,
+`Graph` itself lives in `model`, where each instance builds its
+friendship graph once; it is imported here so that `graphkit.Graph`
+keeps working, and `graph_of(inst)` returns `inst.graph`. Provides
+connected components, enumeration of acyclic orientations,
 counting of labeled DAGs, tree decompositions (a min-fill heuristic and
 an exact search for small graphs), and conversion to the nice form the
 dynamic programs consume. A plain text export format for decompositions
@@ -18,49 +21,16 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-from .model import PollInputError
+from .model import Graph, PollInputError
 
 # exact_td_small's table has 2^n entries
 _EXACT_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 0..n-1 with normalized edges."""
-
-    n: int
-    edges: frozenset
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise PollInputError("vertex count must be a non-negative integer")
-        norm = set()
-        for e in self.edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise PollInputError("edge %r is not a pair" % (e,)) from None
-            if u == v:
-                raise PollInputError("self-loop at vertex %r" % (u,))
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise PollInputError("edge %r out of range" % (e,))
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    @cached_property
-    def adjacency(self):
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-
 def graph_of(inst):
-    """Friendship graph of an instance."""
-    return Graph(inst.n_agents, inst.edges)
+    """Friendship graph of an instance, built once with it."""
+    return inst.graph
 
 
 def connected_components(g):
@@ -513,8 +483,6 @@ def validate_nice(g, ntd):
         if nd.kind == "leaf":
             if nd.children or len(nd.bag) > 1:
                 raise PollInputError("leaf node %d is malformed" % i)
-            if not nd.bag and g.n > 0 and len(nodes) > 1:
-                raise PollInputError("empty leaf %d in a non-trivial tree" % i)
         elif nd.kind in ("insert", "forget"):
             if len(nd.children) != 1 or nd.vertex is None:
                 raise PollInputError("%s node %d is malformed" % (nd.kind, i))

@@ -24,6 +24,11 @@ indexes. `_cast_votes` calls it agent by agent along an order, for
 acyclic orientation); `_simulation` turns the index votes back into
 labels. The brute-force oracle calls `_vote` directly, once per vote
 its incremental replay casts.
+
+The friendship graph is a `Graph` on agents 0..n-1. An instance builds
+it once, as `Instance.graph`, and that build is where its edges are
+checked and normalized; the simulators, the DP and the graph
+algorithms of `graphkit` all read that one graph and its adjacency.
 """
 
 from __future__ import annotations
@@ -110,13 +115,47 @@ class ScoreFunction:
 
 
 @dataclass(frozen=True)
+class Graph:
+    """Simple undirected graph on vertices 0..n-1 with normalized edges."""
+
+    n: int
+    edges: frozenset
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise PollInputError("vertex count must be a non-negative integer")
+        norm = set()
+        for e in self.edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise PollInputError("edge %r is not a pair" % (e,)) from None
+            if u == v:
+                raise PollInputError("self-loop at vertex %r" % (u,))
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise PollInputError("edge %r out of range" % (e,))
+            norm.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "edges", frozenset(norm))
+
+    @cached_property
+    def adjacency(self):
+        nbrs = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(tuple(sorted(b)) for b in nbrs)
+
+
+@dataclass(frozen=True)
 class Instance:
     """A poll: candidates, agents, friendship edges, distinguished candidate.
 
     Agents are addressed by their index into `agents`. Edges are
-    unordered pairs of agent ids, stored normalized as (low, high); self
-    loops are rejected and duplicates collapse. `meta` carries optional
-    generator bookkeeping and never takes part in equality.
+    unordered pairs of agent ids. `graph`, the friendship graph, is built
+    once here: it rejects self loops and unknown agents and stores the
+    edges normalized as (low, high), so duplicates collapse. `meta`
+    carries optional generator bookkeeping and never takes part in
+    equality.
     """
 
     candidates: tuple
@@ -125,6 +164,7 @@ class Instance:
     distinguished: str
     name: str = "poll"
     meta: dict = field(default_factory=dict, compare=False, repr=False)
+    graph: Graph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -160,27 +200,9 @@ class Instance:
                 "preferred sets have non-uniform sizes %s" % sorted(sizes),
                 stacklevel=2,
             )
-        n = len(self.agents)
-        norm = set()
-        for e in self.edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise PollInputError("edge %r is not a pair" % (e,)) from None
-            if u == v:
-                raise PollInputError("self-loop edge at agent %r" % (u,))
-            if not (0 <= u < n and 0 <= v < n):
-                raise PollInputError("edge %r references an unknown agent" % (e,))
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    @cached_property
-    def adjacency(self):
-        nbrs = [[] for _ in self.agents]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        graph = Graph(len(self.agents), self.edges)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edges", graph.edges)
 
     @cached_property
     def candidate_index(self):
@@ -195,14 +217,6 @@ class Instance:
             (cidx[ag.top], tuple(sorted(cidx[c] for c in ag.preferred)), ag.weight)
             for ag in self.agents
         )
-
-    def neighbors(self, x):
-        self._check_agent(x)
-        return self.adjacency[x]
-
-    def _check_agent(self, x):
-        if not isinstance(x, int) or not 0 <= x < len(self.agents):
-            raise PollInputError("unknown agent id %r" % (x,))
 
     @property
     def n_agents(self):
@@ -263,8 +277,9 @@ def choice(inst, x, prior):
     the top choice otherwise. At most one candidate can hold a strict
     majority, so the result is deterministic.
     """
-    inst._check_agent(x)
-    nbrs = set(inst.adjacency[x])
+    if not isinstance(x, int) or not 0 <= x < inst.n_agents:
+        raise PollInputError("unknown agent id %r" % (x,))
+    nbrs = set(inst.graph.adjacency[x])
     for y in prior:
         if y not in nbrs:
             raise PollInputError(
@@ -303,7 +318,7 @@ def simulate_order(inst, order):
     position = _positions(inst, order)
     preceding = [
         [y for y in nbrs if position[y] < position[x]]
-        for x, nbrs in enumerate(inst.adjacency)
+        for x, nbrs in enumerate(inst.graph.adjacency)
     ]
     votes = [None] * len(order)
     return _simulation(inst, votes, _cast_votes(inst, order, preceding, votes))

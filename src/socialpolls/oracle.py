@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter, ne
 
-from .graphkit import connected_components, enumerate_acyclic_orientations, graph_of, induced_subgraph
+from .graphkit import connected_components, enumerate_acyclic_orientations, induced_subgraph
 from .model import (
     PollInputError,
     ResourceLimitError,
@@ -160,7 +160,7 @@ def _outcome_table(inst, max_orientations, stats):
     """Map every achievable score tuple to a representative orientation
     of the whole graph. The guard bounds the product of per-component
     orientation counts."""
-    g = graph_of(inst)
+    g = inst.graph
     width = inst.total_weight().bit_length()
     parts = []
     product = 1

@@ -9,7 +9,6 @@ direction of that construction is out of brute-force reach by design,
 so it is not checked end to end anywhere.
 """
 
-import itertools
 import random
 import time
 
@@ -37,7 +36,7 @@ from socialpolls.oracle import (
 )
 from socialpolls.dpsolver import (
     achievable_scores_dp,
-    max_margin_dp,
+    margins_dp,
     necessary_winner_dp,
 )
 from socialpolls.reductions import (
@@ -110,9 +109,10 @@ def test_c02_margins_and_necessary_dp_equals_bf_weighted():
             if len(graph_of(inst).edges) <= 14:
                 break
         ntd = nice_td_of(inst)
-        for d, c in itertools.permutations(inst.candidates, 2):
-            assert max_margin_dp(inst, ntd, d, c) == max_margin_bf(inst, d, c)
         for c in inst.candidates:
+            # one sweep per candidate gives every rival's margin against it
+            rivals = [d for d in inst.candidates if d != c]
+            assert margins_dp(inst, ntd, c) == {d: max_margin_bf(inst, d, c) for d in rivals}
             assert necessary_winner_dp(inst, ntd, c)[0] == necessary_winner_bf(inst, c)[0]
 
 

@@ -297,6 +297,30 @@ class TestScoresCommand:
         elapsed = [l for l in out.splitlines() if l.startswith("elapsed-ms: ")]
         assert int(elapsed[0].split()[1]) >= 50
 
+    @pytest.mark.parametrize("method", ["bf", "dp"])
+    def test_cross_check_agrees(self, capsys, tmp_path, method):
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(
+            capsys, "scores", "--instance", path, "--method", method, "--cross-check",
+        )
+        assert code == 0
+        assert "cross-check: ok" in out
+        assert "count: 2" in out
+
+    @pytest.mark.parametrize("question, name, wrong", [
+        (("scores",), "achievable_scores_bf", lambda found: frozenset(list(found)[1:])),
+        (("possible", "--candidate", "a"), "possible_winner_dp", lambda ok: not ok),
+    ])
+    def test_cross_check_mismatch_exits_one(self, capsys, tmp_path, monkeypatch,
+                                            question, name, wrong):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: wrong(real(*args, **kwargs)))
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(capsys, *question, "--instance", path,
+                             "--method", "dp", "--cross-check")
+        assert code == 1
+        assert out.splitlines()[-1] == "cross-check: mismatch"
+
     def test_auto_falls_back_to_bf_on_weights(self, capsys, tmp_path):
         path = save(tmp_path, p3_gadget())
         code, out, err = run(capsys, "scores", "--instance", path)

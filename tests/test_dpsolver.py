@@ -12,7 +12,6 @@ from socialpolls import dpsolver
 from socialpolls.dpsolver import (
     achievable_scores_dp,
     margins_dp,
-    max_margin_dp,
     mutually_compatible,
     necessary_winner_dp,
     possible_winner_dp,
@@ -56,10 +55,9 @@ class TestFrozenCases:
     def test_margins(self):
         inst = p3_gadget()
         ntd = nice_td_of(inst)
-        assert max_margin_dp(inst, ntd, "b", "a") == 4
-        assert max_margin_dp(inst, ntd, "c", "c") == 0
+        assert margins_dp(inst, ntd, "a")["b"] == 4
         inst = two_agent_edge()
-        assert max_margin_dp(inst, nice_td_of(inst), "b", "a") == 2
+        assert margins_dp(inst, nice_td_of(inst), "a")["b"] == 2
 
     def test_necessary(self):
         inst = two_agent_edge()
@@ -81,7 +79,7 @@ class TestFrozenCases:
         with pytest.raises(PollInputError):
             possible_winner_dp(inst, ntd, "z")
         with pytest.raises(PollInputError):
-            max_margin_dp(inst, ntd, "z", "a")
+            margins_dp(inst, ntd, "z")
 
     def test_weighted_counts_refused(self):
         inst = p3_gadget()
@@ -106,9 +104,10 @@ class TestOracleEquivalence:
     def test_margins_weighted(self, seed, n):
         inst = gen_random(seed, n, 3, edge_prob=0.4, max_weight=9)
         ntd = nice_td_of(inst)
-        for d in inst.candidates:
-            for c in inst.candidates:
-                assert max_margin_dp(inst, ntd, d, c) == max_margin_bf(inst, d, c)
+        for c in inst.candidates:
+            # one sweep per candidate gives every rival's margin against it
+            rivals = [d for d in inst.candidates if d != c]
+            assert margins_dp(inst, ntd, c) == {d: max_margin_bf(inst, d, c) for d in rivals}
 
     @given(st.integers(0, 2_000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -172,9 +171,7 @@ class TestDecompositionIndependence:
         results = [
             (
                 achievable_scores_dp(inst, ntd),
-                max_margin_dp(inst, ntd, *inst.candidates[:2])
-                if len(inst.candidates) > 1
-                else 0,
+                margins_dp(inst, ntd, inst.candidates[-1]),
             )
             for ntd in all_decompositions(inst)
         ]
@@ -212,7 +209,7 @@ class TestTableShape:
     def test_stats_report_entries(self):
         inst = p3_gadget()
         stats = {}
-        max_margin_dp(inst, nice_td_of(inst), "b", "a", stats=stats)
+        margins_dp(inst, nice_td_of(inst), "a", stats=stats)
         assert stats["entries"] > 0
 
 

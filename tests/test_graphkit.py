@@ -1,5 +1,6 @@
 """Graphs, orientation enumeration, DAG counting, tree decompositions."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_acyclic_orientations, brute_count_dags
+from socialpolls.dpsolver import achievable_scores_dp, margins_dp
 from socialpolls.graphkit import (
     Graph,
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     connected_components,
     count_labeled_dags,
@@ -23,6 +27,7 @@ from socialpolls.graphkit import (
     validate_td,
 )
 from socialpolls.model import PollInputError
+from socialpolls.oracle import achievable_scores_bf, max_margin_bf
 from socialpolls.reductions import gen_random
 
 
@@ -90,6 +95,12 @@ class TestGraph:
             Graph(2, [(0, 5)])
         with pytest.raises(PollInputError):
             Graph(-1, [])
+
+    def test_instance_builds_its_graph_once(self):
+        inst = gen_random(5, 6, 2, edge_prob=0.5)
+        assert graph_of(inst) is graph_of(inst) is inst.graph
+        assert inst.graph == Graph(inst.n_agents, inst.edges)
+        assert inst.edges is inst.graph.edges
 
     def test_components(self):
         g = Graph(5, [(0, 1), (3, 4)])
@@ -248,6 +259,53 @@ class TestTreeDecomposition:
         assert exact.width <= heuristic_td(g).width
 
 
+# a star centered at 0 with leaves 1 and 2, as two branches joined on (0,)
+STAR = Graph(3, [(0, 1), (0, 2)])
+STAR_NICE = (
+    NiceNode("leaf", (0,)),
+    NiceNode("insert", (0, 1), (0,), 1),
+    NiceNode("forget", (0,), (1,), 1),
+    NiceNode("leaf", (0,)),
+    NiceNode("insert", (0, 2), (3,), 2),
+    NiceNode("forget", (0,), (4,), 2),
+    NiceNode("join", (0,), (2, 5)),
+    NiceNode("forget", (), (6,), 0),
+)
+
+
+def corrupted_star(node=None, root=len(STAR_NICE) - 1, **changes):
+    """The nice tree of STAR with `changes` made to one node."""
+    nodes = list(STAR_NICE)
+    if node is not None:
+        nodes[node] = dataclasses.replace(nodes[node], **changes)
+    return NiceTreeDecomposition(tuple(nodes), root)
+
+
+def with_empty_bags(td, rng):
+    """`td` behind a new empty bag 0, at which make_nice roots the tree,
+    and with one to three more empty bags tied to random bags."""
+    bags = [frozenset()] + list(td.bags)
+    edges = {(0, 1)} | {(i + 1, j + 1) for i, j in td.tree_edges}
+    for _ in range(rng.randint(1, 3)):
+        edges.add((rng.randrange(len(bags)), len(bags)))
+        bags.append(frozenset())
+    return TreeDecomposition(tuple(bags), frozenset(edges))
+
+
+def check_nice_with_empty_bags(inst, td):
+    """The nice form of `td`, a decomposition of `inst` holding empty
+    bags, is valid, has an empty leaf, and gives both DP programs the
+    brute-force answers."""
+    validate_td(inst.graph, td)
+    ntd = make_nice(td)
+    validate_nice(inst.graph, ntd)
+    assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
+    assert achievable_scores_dp(inst, ntd) == achievable_scores_bf(inst)
+    for c in inst.candidates:
+        rivals = [d for d in inst.candidates if d != c]
+        assert margins_dp(inst, ntd, c) == {d: max_margin_bf(inst, d, c) for d in rivals}
+
+
 class TestNiceForm:
     @given(st.integers(0, 400), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -259,12 +317,44 @@ class TestNiceForm:
         assert ntd.width <= td.width
         assert ntd.nodes[ntd.root].bag == ()
 
-    def test_nice_shape_rejections(self):
-        g = Graph(2, [(0, 1)])
-        ntd = make_nice(heuristic_td(g))
-        validate_nice(g, ntd)
-        with pytest.raises(PollInputError):
-            validate_nice(Graph(3, [(0, 1), (1, 2)]), ntd)
+    @pytest.mark.parametrize("g, ntd, match", [
+        (STAR, NiceTreeDecomposition((), 0), "needs at least one node"),
+        (STAR, corrupted_star(root=6), "root must be the last node"),
+        (STAR, corrupted_star(7, bag=(0,)), "root bag must be empty"),
+        (STAR, corrupted_star(1, bag=(1, 0)), "node 1 bag is not sorted"),
+        (STAR, corrupted_star(2, children=(6,)), "node 2 child 6 does not precede it"),
+        (STAR, corrupted_star(5, children=(1,)), "node 1 has two parents"),
+        (STAR, corrupted_star(0, bag=(0, 1)), "leaf node 0 is malformed"),
+        (STAR, corrupted_star(1, vertex=None), "insert node 1 is malformed"),
+        (STAR, corrupted_star(2, children=()), "forget node 2 is malformed"),
+        (STAR, corrupted_star(1, vertex=2), "insert node 1 does not add its vertex"),
+        (STAR, corrupted_star(2, vertex=0), "forget node 2 does not drop its vertex"),
+        (STAR, corrupted_star(6, children=(2,)), "join node 6 needs two children"),
+        (STAR, corrupted_star(6, bag=()), "join node 6 changes the bag"),
+        (STAR, corrupted_star(0, kind="seed"), "unknown node kind 'seed'"),
+        (STAR, corrupted_star(6, kind="leaf", children=()),
+         "tree is not connected through the root"),
+        # a valid nice tree of another graph
+        (Graph(3, [(0, 1), (1, 2)]), make_nice(heuristic_td(Graph(2, [(0, 1)]))),
+         "vertex 2 is not in any bag"),
+    ])
+    def test_nice_shape_rejections(self, g, ntd, match):
+        validate_nice(STAR, corrupted_star())
+        with pytest.raises(PollInputError, match=match):
+            validate_nice(g, ntd)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_empty_bags(self, seed):
+        rng = random.Random(seed)
+        inst = gen_random(seed, rng.randint(2, 5), 3, edge_prob=0.6)
+        check_nice_with_empty_bags(inst, with_empty_bags(heuristic_td(inst.graph), rng))
+
+    def test_empty_bag_under_bag_zero(self):
+        inst = gen_random(3, 4, 2, edge_prob=0.6)
+        td = heuristic_td(inst.graph)
+        td = TreeDecomposition(td.bags + (frozenset(),),
+                               td.tree_edges | {(0, len(td.bags))})
+        check_nice_with_empty_bags(inst, td)
 
 
 class TestSerialization:

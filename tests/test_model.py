@@ -80,7 +80,7 @@ class TestValidation:
         ag = AgentPrefs("a", ["a"])
         inst = Instance(("a",), (ag, ag, ag), ((2, 0), (0, 2), (1, 2)), "a")
         assert inst.edges == frozenset([(0, 2), (1, 2)])
-        assert inst.adjacency == ((2,), (2,), (0, 1))
+        assert inst.graph.adjacency == ((2,), (2,), (0, 1))
 
     def test_non_uniform_pref_sizes_warn(self):
         agents = (AgentPrefs("a", ["a"]), AgentPrefs("a", ["a", "b"]))
@@ -121,7 +121,7 @@ class TestChoice:
         x = data.draw(st.integers(0, inst.n_agents - 1))
         prior = {
             y: data.draw(st.sampled_from(inst.candidates))
-            for y in inst.adjacency[x]
+            for y in inst.graph.adjacency[x]
             if data.draw(st.booleans())
         }
         assert choice(inst, x, prior) == naive_vote(inst.agents[x], prior.values())
