@@ -1,10 +1,11 @@
 """Seeded sweep comparing the decomposition solver against brute force.
 
-Unweighted instances compare the full achievable-score sets; weighted
-instances compare every ordered-pair margin, and every necessary-winner
-decision and offending candidate with the first rival whose brute-force
-margin is positive. Prints one line per mismatch and a summary; exits 1
-when any mismatch was found.
+Every instance compares the possible-winner decision of every
+candidate. Unweighted instances also compare the full achievable-score
+sets; weighted instances compare every ordered-pair margin, and every
+necessary-winner decision and offending candidate with the first rival
+whose brute-force margin is positive. Prints one line per mismatch and
+a summary; exits 1 when any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -19,12 +20,14 @@ from socialpolls.dpsolver import (
     achievable_scores_dp,
     margins_dp,
     necessary_winner_dp,
+    possible_winner_dp,
 )
 from socialpolls.graphkit import heuristic_td, make_nice
 from socialpolls.oracle import (
     achievable_scores_bf,
-    max_margin_bf,
+    margins_bf,
     necessary_winner_bf,
+    possible_winner_bf,
 )
 from socialpolls.reductions import gen_random
 
@@ -39,7 +42,7 @@ def check_unweighted(inst, ntd):
 def check_weighted(inst, ntd):
     mism = []
     for c in inst.candidates:
-        bf = {d: max_margin_bf(inst, d, c) for d in inst.candidates if d != c}
+        bf = margins_bf(inst, c)
         # one sweep gives the margins of every rival d against c
         for d, dp in margins_dp(inst, ntd, c).items():
             if dp != bf[d]:
@@ -52,6 +55,16 @@ def check_weighted(inst, ntd):
             mism.append("necessary(%s): dp=%s bf=%s" % (c, dp, expected))
         if necessary_winner_bf(inst, c)[0] != expected[0]:
             mism.append("necessary(%s): bf decision disagrees with bf margins" % c)
+    return mism
+
+
+def check_possible(inst, ntd):
+    mism = []
+    for c in inst.candidates:
+        dp = possible_winner_dp(inst, ntd, c)
+        bf = possible_winner_bf(inst, c)[0]
+        if dp != bf:
+            mism.append("possible(%s): dp=%s bf=%s" % (c, dp, bf))
     return mism
 
 
@@ -84,7 +97,7 @@ def main(argv=None):
                 break
         ntd = make_nice(heuristic_td(inst.graph))
         check = check_weighted if args.weighted else check_unweighted
-        mism = check(inst, ntd)
+        mism = check(inst, ntd) + check_possible(inst, ntd)
         if mism:
             bad += 1
             for line in mism:

@@ -1,8 +1,9 @@
 """Dynamic programs over nice tree decompositions.
 
-Both programs sweep the nice tree bottom up, keeping per-node tables of
-partial poll states. A table key `(v, D, c)` describes everything the
-nodes above may still observe about the processed subtree:
+All three programs sweep the nice tree bottom up, keeping per-node
+tables of partial poll states. A table key `(v, D, c)` describes
+everything the nodes above may still observe about the processed
+subtree:
 
 * `v`: the votes of the bag agents, as candidate indexes, in bag order;
 * `D`: a transitively closed DAG on the bag, a frozenset of (earlier,
@@ -36,6 +37,14 @@ does not depend on the pair, and keys, transitions and the join's
 double-count correction are additive given the key, so each coordinate
 is the single-pair program and one sweep gives every margin against c.
 
+The possible-winner program keeps the same margin vectors unmaximized,
+as a Pareto front: its slices map `(v, D, c)` to the list of vectors
+that no other vector of the key is <= in every coordinate. Inserts add
+one row to every vector of a key and joins add two vectors and subtract
+one, both alike for all vectors of a key, so a dominated vector never
+ends below the one dominating it; c co-wins some order iff a root
+vector is <= 0 everywhere. Any weights here too.
+
 Dead states are pruned where they are made. A bag record gives, per
 bag agent x, the number r of x's friends outside the vertices of the
 node's subtree; they may still vote before x, and no other friend
@@ -43,7 +52,8 @@ can. A state is dead when no such future can make x's row agree with
 x's vote (`_live`), and no leaf, insert or join node stores one. At
 the forget node of x every friend is seen (r = 0), so the bound is
 then exactly the voting rule and the forget node tests nothing.
-A guard bounds the number of live table entries.
+A guard bounds the number of live table entries, stored (key, payload)
+pairs.
 
 The key invariant is written once, in `_keys_compatible`, and includes
 that bound. The sweep asserts it on every stored slice, so `python -O`
@@ -287,21 +297,24 @@ def _keys_compatible(tables, rec, items, counted):
 
 
 class _Engine:
-    """Shared sweep for both programs over `(v, D, c)` keys (see the
+    """Shared sweep for all three programs over `(v, D, c)` keys (see the
     module docstring). Payloads are int tuples. Without `rivals` (count
     mode) the payload is the subtree's vote count per candidate and
     slices are keyed by `((v, D, c), payload)`. With `rivals`, candidate
-    indexes d paired with the index `c` (margin mode), slices map
-    `(v, D, c)` to a payload whose coordinate j is the largest weighted
-    score(rivals[j]) - score(c) over the subtree states with that key,
-    maximized per coordinate. Either way `_pairs` yields `((v, D, c),
-    payload)`. `run` builds each node's bag record once, in the same
-    pass, and a leaf is an insert into the empty state."""
+    indexes d paired with the index `c`, a payload's coordinate j is a
+    weighted score(rivals[j]) - score(c) of a subtree state: margin mode
+    maps `(v, D, c)` to the largest, per coordinate, and front mode (with
+    `front`) to the list of Pareto-minimal payloads. `_add`, one method
+    per mode picked when the engine is made, stores a pair; `_pairs`
+    yields `((v, D, c), payload)` and `_size` counts those pairs. `run`
+    builds each node's bag record once, in the same pass, and a leaf is
+    an insert into the empty state."""
 
-    def __init__(self, inst, ntd, rivals=None, c=None, max_table=DEFAULT_MAX_TABLE,
-                 trace=None, stats=None):
+    def __init__(self, inst, ntd, rivals=None, c=None, front=False,
+                 max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
         self.ntd = ntd
         self.counted = rivals is None
+        self.front = front
         self.max_table = max_table
         self.trace = trace
         self.stats = stats
@@ -324,19 +337,48 @@ class _Engine:
             }
             self.zero = (0,) * len(rivals)
         self.values = tuple(rows[ag.weight] for ag in inst.agents)
+        # a plain function, so that the engine holds no reference to itself
+        self._add = (self._add_count if self.counted
+                     else self._add_front if front else self._add_margin)
 
-    def _add(self, slice_, key, payload):
-        if self.counted:
-            slice_[(key, payload)] = payload
-            return
+    @staticmethod
+    def _add_count(slice_, key, payload):
+        slice_[(key, payload)] = payload
+
+    @staticmethod
+    def _add_margin(slice_, key, payload):
         old = slice_.get(key)
         if old is None:
             slice_[key] = payload
         elif old != payload:
             slice_[key] = tuple(map(max, old, payload))
 
+    @staticmethod
+    def _add_front(slice_, key, payload):
+        old = slice_.get(key)
+        if old is None:
+            slice_[key] = [payload]
+            return
+        # the front is an antichain, so a payload that some vector is
+        # <= dominates none of them
+        kept = []
+        for q in old:
+            if all(map(le, q, payload)):
+                return
+            if not all(map(le, payload, q)):
+                kept.append(q)
+        kept.append(payload)
+        slice_[key] = kept
+
     def _pairs(self, slice_):
-        return slice_.keys() if self.counted else slice_.items()
+        if self.counted:
+            return slice_.keys()
+        if self.front:
+            return ((key, p) for key, front in slice_.items() for p in front)
+        return slice_.items()
+
+    def _size(self, slice_):
+        return sum(map(len, slice_.values())) if self.front else len(slice_)
 
     def run(self):
         done = {}  # node -> (bag record, slice), until its parent takes it
@@ -349,26 +391,28 @@ class _Engine:
                     sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
             elif nd.kind == "join":
                 left, right = (done.pop(k)[1] for k in nd.children)
-                live -= len(left) + len(right)
+                live -= self._size(left) + self._size(right)
                 sl = self._join(rec, left, right)
             else:
                 crec, child = done.pop(nd.children[0])
-                live -= len(child)
+                live -= self._size(child)
                 sl = (self._insert(rec, crec, child, nd.vertex) if nd.kind == "insert"
                       else self._forget(crec, child, nd.vertex))
-            assert _keys_compatible(self.tables, rec, self._pairs(sl), self.counted), \
-                "incompatible key stored at node %d" % i
+            # each key once, but count mode stores one per count vector
+            assert _keys_compatible(self.tables, rec, sl.keys() if self.counted else sl.items(),
+                                    self.counted), "incompatible key stored at node %d" % i
             done[i] = rec, sl
-            live += len(sl)
+            size = self._size(sl)
+            live += size
             if live > self.max_table:
                 raise ResourceLimitError(
                     "table guard exceeded at node %d with %d live entries"
                     % (i, live)
                 )
             if self.stats is not None:
-                self.stats["entries"] = self.stats.get("entries", 0) + len(sl)
+                self.stats["entries"] = self.stats.get("entries", 0) + size
             if self.trace is not None:
-                self.trace.append((i, nd.kind, len(sl)))
+                self.trace.append((i, nd.kind, size))
         root = done[self.ntd.root][1]
         if not root:
             raise AssertionError("empty root table; the sweep lost all states")
@@ -614,29 +658,35 @@ def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, sta
     return frozenset(ScoreFunction(inst.candidates, p) for p in root.values())
 
 
-def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
-    """Decision only: can `c` co-win some voting order? Unit weights."""
-    if c not in inst.candidate_index:
-        raise PollInputError("unknown candidate %r" % (c,))
-    ci = inst.candidate_index[c]
-    for sf in achievable_scores_dp(inst, ntd, max_table=max_table, trace=trace, stats=stats):
-        if sf.values[ci] == max(sf.values):
-            return True
-    return False
-
-
-def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
-    """{d: largest achievable weighted score(d) - score(c)} for every
-    other candidate d, in candidate order, from one sweep. Any weights."""
+def _rival_sweep(inst, ntd, c, front, max_table, trace, stats):
+    """The candidates other than `c`, in candidate order, and the root
+    slice of one sweep whose payloads hold their margins against `c`
+    (margin or front mode). No sweep runs without a rival, and the root
+    is then None."""
     index = inst.candidate_index
     if c not in index:
         raise PollInputError("unknown candidate %r" % (c,))
     validate_nice(inst.graph, ntd)
     rivals = tuple(d for d in inst.candidates if d != c)
     if not rivals:
+        return rivals, None
+    return rivals, _Engine(inst, ntd, tuple(index[d] for d in rivals), index[c], front,
+                           max_table, trace, stats).run()
+
+
+def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
+    """Decision only: can `c` co-win some voting order? Any weights. One
+    sweep keeps the Pareto front of the margin vectors against `c`."""
+    _, root = _rival_sweep(inst, ntd, c, True, max_table, trace, stats)
+    return root is None or any(max(p) <= 0 for front in root.values() for p in front)
+
+
+def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
+    """{d: largest achievable weighted score(d) - score(c)} for every
+    other candidate d, in candidate order, from one sweep. Any weights."""
+    rivals, root = _rival_sweep(inst, ntd, c, False, max_table, trace, stats)
+    if root is None:
         return {}
-    root = _Engine(inst, ntd, rivals=tuple(index[d] for d in rivals), c=index[c],
-                   max_table=max_table, trace=trace, stats=stats).run()
     if len(root) != 1:
         raise AssertionError("margin root table should hold exactly one value")
     return dict(zip(rivals, next(iter(root.values()))))

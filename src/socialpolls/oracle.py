@@ -234,12 +234,12 @@ def necessary_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stat
     return cex is None, cex
 
 
-def max_margin_bf(inst, d, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
-    """Largest achievable score(d) - score(c) over all voting orders."""
-    for label in (d, c):
-        if label not in inst.candidate_index:
-            raise PollInputError("unknown candidate %r" % (label,))
+def margins_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
+    """{d: largest achievable weighted score(d) - score(c)} for every
+    other candidate d, in candidate order, from one outcome table."""
+    if c not in inst.candidate_index:
+        raise PollInputError("unknown candidate %r" % (c,))
     table = _outcome_table(inst, max_orientations, stats)
-    di = inst.candidate_index[d]
     ci = inst.candidate_index[c]
-    return max(key[di] - key[ci] for key in table)
+    return {d: max(key[di] - key[ci] for key in table)
+            for di, d in enumerate(inst.candidates) if di != ci}

@@ -175,17 +175,32 @@ class TestDecisionCommands:
         assert "offending-candidate: b" in out
 
     @pytest.mark.parametrize("method", ["dp", "auto"])
-    def test_necessary_single_candidate(self, capsys, tmp_path, method):
+    @pytest.mark.parametrize("question", ["necessary", "possible"])
+    def test_single_candidate_runs_no_sweep(self, capsys, tmp_path, question, method):
         single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
         path = save(tmp_path, single)
         code, out, err = run(
-            capsys, "necessary", "--instance", path,
-            "--candidate", "a", "--method", method,
+            capsys, question, "--instance", path,
+            "--candidate", "a", "--method", method, "--dump-table",
         )
         assert code == 0, err
         assert "decision: YES" in out
         assert "method: dp" in out
         assert "table-entries: 0" in out
+        assert "node " not in out
+
+    @pytest.mark.parametrize("candidate, decision", [("a", "NO"), ("b", "YES"), ("c", "YES")])
+    def test_possible_dp_on_weighted_poll(self, capsys, tmp_path, candidate, decision):
+        # the DP answers weighted polls, and brute force agrees
+        path = save(tmp_path, p3_gadget())
+        code, out, err = run(
+            capsys, "possible", "--instance", path,
+            "--candidate", candidate, "--method", "dp", "--cross-check",
+        )
+        assert code == 0, err
+        assert "method: dp" in out
+        assert "cross-check: ok" in out
+        assert "decision: %s" % decision in out
 
     @pytest.mark.parametrize("question, key, order", [
         ("possible", "witness", (0, 1)), ("necessary", "counterexample", (1, 0)),
@@ -336,8 +351,9 @@ class TestScoresCommand:
         assert code == 0
         assert "node 0 type leaf entries" in out
 
-    # per-node DP slice sizes of two fixed polls, in count mode (`scores`)
-    # and in margin mode (`necessary`): L leaf, I insert, F forget, J join
+    # per-node DP slice sizes of two fixed polls, in count mode (`scores`),
+    # margin mode (`necessary`) and front mode (`possible`), where a row
+    # counts (key, vector) pairs: L leaf, I insert, F forget, J join
     KINDS = {"L": "leaf", "I": "insert", "F": "forget", "J": "join"}
 
     @pytest.mark.parametrize("poll, question, kinds, entries", [
@@ -349,10 +365,14 @@ class TestScoresCommand:
          (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
         ("STAR", "necessary", "LILILFIFIFIIJJFIFF",
          (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 3, 1)),
+        ("INST", "possible", "LILIFIFIJIFFIFF",
+         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 39, 18, 14, 6, 1)),
+        ("STAR", "possible", "LILILFIFIFIIJJFIFF",
+         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 3, 1)),
     ])
     def test_dump_table_rows(self, capsys, tmp_path, poll, question, kinds, entries):
         path = save(tmp_path, getattr(test_dpsolver.TestSweepCheckIsLive, poll))
-        extra = ("--candidate", "a") if question == "necessary" else ()
+        extra = ("--candidate", "a") if question != "scores" else ()
         code, out, err = run(
             capsys, question, "--instance", path, *extra,
             "--method", "dp", "--dump-table",

@@ -1,7 +1,7 @@
 """Tree-decomposition dynamic programs against the brute-force oracle."""
 
 import random
-from operator import add
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,7 @@ from socialpolls.model import (
 )
 from socialpolls.oracle import (
     achievable_scores_bf,
-    max_margin_bf,
+    margins_bf,
     necessary_winner_bf,
     possible_winner_bf,
 )
@@ -72,6 +72,10 @@ class TestFrozenCases:
         ntd = nice_td_of(inst)
         assert possible_winner_dp(inst, ntd, "a")
         assert possible_winner_dp(inst, ntd, "b")
+        # weighted: the heavy agent 2 outvotes "a" on every order
+        inst = p3_gadget()
+        ntd = nice_td_of(inst)
+        assert [possible_winner_dp(inst, ntd, c) for c in "abc"] == [False, True, True]
 
     def test_unknown_candidate(self):
         inst = two_agent_edge()
@@ -90,6 +94,8 @@ class TestFrozenCases:
         inst = gen_random(7, 8, 2, edge_prob=0.5)
         with pytest.raises(ResourceLimitError, match="table guard"):
             achievable_scores_dp(inst, nice_td_of(inst), max_table=4)
+        with pytest.raises(ResourceLimitError, match="table guard"):
+            possible_winner_dp(inst, nice_td_of(inst), "c1", max_table=4)
 
 
 class TestOracleEquivalence:
@@ -106,8 +112,7 @@ class TestOracleEquivalence:
         ntd = nice_td_of(inst)
         for c in inst.candidates:
             # one sweep per candidate gives every rival's margin against it
-            rivals = [d for d in inst.candidates if d != c]
-            assert margins_dp(inst, ntd, c) == {d: max_margin_bf(inst, d, c) for d in rivals}
+            assert margins_dp(inst, ntd, c) == margins_bf(inst, c)
 
     @given(st.integers(0, 2_000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -127,7 +132,7 @@ def check_margins_against_bf(inst):
         margins = margins_dp(inst, ntd, c)
         rivals = [d for d in inst.candidates if d != c]
         assert list(margins) == rivals
-        bf = {d: max_margin_bf(inst, d, c) for d in rivals}
+        bf = margins_bf(inst, c)
         assert margins == bf
         first = next((d for d in rivals if bf[d] > 0), None)
         assert necessary_winner_dp(inst, ntd, c) == (first is None, first)
@@ -160,7 +165,77 @@ class TestMarginSweep:
         single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
         stats = {}
         assert margins_dp(single, nice_td_of(single), "a", stats=stats) == {}
+        assert possible_winner_dp(single, nice_td_of(single), "a", stats=stats)
         assert stats == {}
+
+
+def check_possible_against_bf(inst):
+    """possible_winner_dp against brute force for every candidate and,
+    on unit weights, against the count sweep: c co-wins some achievable
+    score function."""
+    ntd = nice_td_of(inst)
+    sets = achievable_scores_dp(inst, ntd) if inst.is_unweighted() else None
+    for ci, c in enumerate(inst.candidates):
+        dp = possible_winner_dp(inst, ntd, c)
+        assert dp == possible_winner_bf(inst, c)[0], c
+        if sets is not None:
+            assert dp == any(sf.values[ci] == max(sf.values) for sf in sets), c
+
+
+def unit_weights(inst):
+    agents = tuple(AgentPrefs(a.top, a.preferred) for a in inst.agents)
+    return Instance(inst.candidates, agents, inst.edges, inst.distinguished)
+
+
+def minimal(vectors):
+    """The vectors that no other one is <= in every coordinate."""
+    return {p for p in vectors
+            if not any(q != p and all(map(le, q, p)) for q in vectors)}
+
+
+class TestPossibleFront:
+    @given(small_instances(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bf_on_small_polls(self, inst, unit):
+        check_possible_against_bf(unit_weights(inst) if unit else inst)
+
+    @pytest.mark.parametrize("max_weight", (1, 5))
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_matches_bf_on_seeded_polls(self, m, max_weight):
+        rng = random.Random(10 * m + max_weight)
+        for _ in range(12):
+            check_possible_against_bf(gen_random(rng.randrange(10**6), rng.randint(2, 7), m,
+                                                 edge_prob=0.35, max_weight=max_weight))
+
+    @given(st.integers(0, 2_000), st.integers(1, 6), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_front_is_the_minimum_of_the_count_sweep(self, seed, n, m):
+        # node by node: the same nodes and keys as the count sweep, each
+        # key's front the minimal margin vectors of its count vectors, so
+        # never more entries, and the checker sees each key once
+        inst = gen_random(seed, n, m, edge_prob=0.4)
+        ntd = nice_td_of(inst)
+        count_trace = []
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls = captured_checks(
+                mp, lambda: achievable_scores_dp(inst, ntd, trace=count_trace))
+        for ci, c in enumerate(inst.candidates):
+            trace = []
+            with pytest.MonkeyPatch.context() as mp:
+                calls = captured_checks(
+                    mp, lambda: possible_winner_dp(inst, ntd, c, trace=trace))
+            assert [t[:2] for t in trace] == [t[:2] for t in count_trace]
+            assert all(t[2] <= u[2] for t, u in zip(trace, count_trace))
+            assert len(calls) == len(count_calls)
+            for (_, _, fronts, _), (_, _, pairs, _) in zip(calls, count_calls):
+                mapped = {}
+                for key, counts in pairs:
+                    mapped.setdefault(key, set()).add(
+                        tuple(q - counts[ci] for d, q in enumerate(counts) if d != ci))
+                assert len(fronts) == len(mapped)
+                for key, front in fronts:
+                    assert len(set(front)) == len(front)
+                    assert set(front) == minimal(mapped[key])
 
 
 class TestDecompositionIndependence:
@@ -572,6 +647,13 @@ def forget_with_rule(original):
     return forget
 
 
+SWEEPS = {
+    "count": lambda inst, ntd: achievable_scores_dp(inst, ntd),
+    "margin": lambda inst, ntd: margins_dp(inst, ntd, "a"),
+    "front": lambda inst, ntd: possible_winner_dp(inst, ntd, "a"),
+}
+
+
 class TestSweepCheckIsLive:
     # a triangle with a pendant agent on each corner: its decomposition
     # joins on a bag holding a friendship edge, so the overlap that the
@@ -587,9 +669,8 @@ class TestSweepCheckIsLive:
         (join_without_overlap, "_join"),
         (places_without_bumps, "_places"),
     ])
-    @pytest.mark.parametrize("counted", (True, False))
-    def test_corrupt_transition_trips_the_check(self, monkeypatch, corrupt, method,
-                                                counted):
+    @pytest.mark.parametrize("mode", SWEEPS)
+    def test_corrupt_transition_trips_the_check(self, monkeypatch, corrupt, method, mode):
         inst = self.INST
         ntd = nice_td_of(inst)
         assert any(nd.kind == "join" and any(set(e) <= set(nd.bag) for e in inst.edges)
@@ -597,10 +678,7 @@ class TestSweepCheckIsLive:
         monkeypatch.setattr(dpsolver._Engine, method,
                             corrupt(getattr(dpsolver._Engine, method)))
         with pytest.raises(AssertionError, match="incompatible key stored at node"):
-            if counted:
-                achievable_scores_dp(inst, ntd)
-            else:
-                margins_dp(inst, ntd, "a")
+            SWEEPS[mode](inst, ntd)
 
     # a star whose center joins two pairs of leaves, and an isolated
     # agent that may only vote its top: each of the leaf, insert and
@@ -613,8 +691,8 @@ class TestSweepCheckIsLive:
     )
 
     @pytest.mark.parametrize("kind", ("leaf", "insert", "join"))
-    @pytest.mark.parametrize("counted", (True, False))
-    def test_unpruned_transition_trips_the_check(self, monkeypatch, kind, counted):
+    @pytest.mark.parametrize("mode", SWEEPS)
+    def test_unpruned_transition_trips_the_check(self, monkeypatch, kind, mode):
         inst = self.STAR
         ntd = nice_td_of(inst)
         assert any(nd.kind == "join" for nd in ntd.nodes)
@@ -624,26 +702,20 @@ class TestSweepCheckIsLive:
                             unpruned(getattr(dpsolver._Engine, method), kind == "leaf"))
         with pytest.raises(AssertionError,
                            match=r"^incompatible key stored at node \d+$") as info:
-            if counted:
-                achievable_scores_dp(inst, ntd)
-            else:
-                margins_dp(inst, ntd, "a")
+            SWEEPS[mode](inst, ntd)
         node = ntd.nodes[int(str(info.value).split()[-1])]
         assert node.kind == kind
         if kind == "leaf":
             assert node.bag == (5,)  # the isolated agent votes its top or dies
 
-    @pytest.mark.parametrize("counted", (True, False))
-    def test_row_kept_past_the_bag_trips_the_check(self, monkeypatch, counted):
+    @pytest.mark.parametrize("mode", SWEEPS)
+    def test_row_kept_past_the_bag_trips_the_check(self, monkeypatch, mode):
         inst = self.INST
         ntd = nice_td_of(inst)
         monkeypatch.setattr(dpsolver._Engine, "_forget",
                             forget_keeping_row(dpsolver._Engine._forget))
         with pytest.raises(AssertionError, match="incompatible key stored at node"):
-            if counted:
-                achievable_scores_dp(inst, ntd)
-            else:
-                margins_dp(inst, ntd, "a")
+            SWEEPS[mode](inst, ntd)
 
 
 def sweeps_with_reference_checker(inst, ntd, pruned):

@@ -27,7 +27,7 @@ from socialpolls.graphkit import (
     validate_td,
 )
 from socialpolls.model import PollInputError
-from socialpolls.oracle import achievable_scores_bf, max_margin_bf
+from socialpolls.oracle import achievable_scores_bf, margins_bf
 from socialpolls.reductions import gen_random
 
 
@@ -302,8 +302,7 @@ def check_nice_with_empty_bags(inst, td):
     assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
     assert achievable_scores_dp(inst, ntd) == achievable_scores_bf(inst)
     for c in inst.candidates:
-        rivals = [d for d in inst.candidates if d != c]
-        assert margins_dp(inst, ntd, c) == {d: max_margin_bf(inst, d, c) for d in rivals}
+        assert margins_dp(inst, ntd, c) == margins_bf(inst, c)
 
 
 class TestNiceForm:

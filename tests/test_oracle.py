@@ -23,7 +23,7 @@ from socialpolls.model import (
 )
 from socialpolls.oracle import (
     achievable_scores_bf,
-    max_margin_bf,
+    margins_bf,
     necessary_winner_bf,
     possible_winner_bf,
 )
@@ -179,9 +179,10 @@ class TestDecisions:
         assert necessary_winner_bf(inst, "a") == (True, None)
 
     def test_margins(self):
-        assert max_margin_bf(p3_gadget(), "b", "a") == 4
-        assert max_margin_bf(two_agent_edge(), "b", "a") == 2
-        assert max_margin_bf(p3_gadget(), "c", "c") == 0
+        assert margins_bf(p3_gadget(), "a")["b"] == 4
+        assert margins_bf(two_agent_edge(), "a") == {"b": 2}
+        single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
+        assert margins_bf(single, "a") == {}
 
     def test_unknown_candidate(self):
         inst = two_agent_edge()
@@ -190,7 +191,7 @@ class TestDecisions:
         with pytest.raises(PollInputError):
             necessary_winner_bf(inst, "z")
         with pytest.raises(PollInputError):
-            max_margin_bf(inst, "a", "z")
+            margins_bf(inst, "z")
 
 
 class TestGuardsAndStats:
