@@ -21,6 +21,7 @@ Reports are one `key: value` pair per line. Exit codes: 0 clean run,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -246,13 +247,14 @@ def _ntd_of(inst, td):
 
 def _method_of(inst, args, question):
     """(method, decomposition or None). Under `--method auto` the DP is
-    picked when the min-fill width allows it, and the decomposition that
-    measured the width is handed on so that the DP does not build it
-    again."""
+    picked when the min-fill width allows it (for `scores`, only on
+    unit weights and at most three candidates), and the decomposition
+    that measured the width is handed on so that the DP does not build
+    it again."""
     if args.method != "auto":
         return args.method, None
     td = heuristic_td(inst.graph)
-    if td.width <= 3 and (question == "necessary" or (
+    if td.width <= 3 and (question != "scores" or (
             inst.is_unweighted() and len(inst.candidates) <= 3)):
         return "dp", td
     return "bf", td
@@ -515,10 +517,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

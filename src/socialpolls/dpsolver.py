@@ -26,16 +26,24 @@ sweep knows about a bag apart from its keys (row offsets, unseen
 friends, degree caps) is built once per sweep, bottom up, as one
 `_BagRecord` per nice node, which the transitions and the checker read.
 
+Every program's slice maps a key `(v, D, c)` to one payload container,
+and the programs differ only in that container and in three functions
+over it: shift (add an agent's value row to every vector), merge (store
+a container under a key, uniting it with the one already there) and
+combine (every sum of a vector of each side, at a join). The
+transitions visit each key once and touch payloads only through these.
+
 The achievable-scores program additionally tracks the per-candidate
-vote counts of the processed subtree; it requires unit weights because
-counts enter keys: its slices are keyed by `((v, D, c), counts)`. The
-margin program replaces counts by a payload with one maximized value
-per rival d of a candidate c, the weighted score difference score(d) -
-score(c), so it handles arbitrary weights and any number of
-candidates; its slices map `(v, D, c)` to that payload. The key set
-does not depend on the pair, and keys, transitions and the join's
-double-count correction are additive given the key, so each coordinate
-is the single-pair program and one sweep gives every margin against c.
+vote counts of the processed subtree; it requires unit weights, so that
+a count vector is a score function. Its slices map `(v, D, c)` to the
+set of count vectors that states with that key reach. The margin
+program replaces counts by a payload with one maximized value per rival
+d of a candidate c, the weighted score difference score(d) - score(c),
+so it handles arbitrary weights and any number of candidates; its
+slices map `(v, D, c)` to that payload. The key set does not depend on
+the pair, and keys, transitions and the join's double-count correction
+are additive given the key, so each coordinate is the single-pair
+program and one sweep gives every margin against c.
 
 The possible-winner program keeps the same margin vectors unmaximized,
 as a Pareto front: its slices map `(v, D, c)` to the list of vectors
@@ -52,8 +60,9 @@ can. A state is dead when no such future can make x's row agree with
 x's vote (`_live`), and no leaf, insert or join node stores one. At
 the forget node of x every friend is seen (r = 0), so the bound is
 then exactly the voting rule and the forget node tests nothing.
-A guard bounds the number of live table entries, stored (key, payload)
-pairs.
+A guard bounds the number of live table entries, stored (key, vector)
+pairs: a key counts once per vector of its container in count and
+front mode, and once in margin mode.
 
 The key invariant is written once, in `_keys_compatible`, and includes
 that bound. The sweep asserts it on every stored slice, so `python -O`
@@ -230,9 +239,10 @@ def _live(c, rules):
 def _keys_compatible(tables, rec, items, counted):
     """Could each key in `items`, ((v, D, c), payload) pairs over the bag
     of record `rec` in index form, come from a partial poll whose voting
-    rule every bag agent can still meet? Payloads are count vectors to
-    check too when `counted`. The record's unseen counts give the bound
-    of `_live`, skipped where None. The checker reads only that static
+    rule every bag agent can still meet? When `counted` each payload is a
+    container of count vectors, which must hold at least one and all of
+    which are checked too. The record's unseen counts give the bound of
+    `_live`, skipped where None. The checker reads only that static
     record, never what a transition computed.
 
     The conditions on v alone are checked once per distinct v, and
@@ -242,79 +252,95 @@ def _keys_compatible(tables, rec, items, counted):
     to at most `a` while the agent has friends outside the bag (inside,
     the bounds are equalities). The rows of agents whose friends all
     lie in the bag equal the lower bound, so their voting rule is
-    checked once per (v, D) too. A repeated (v, D, c) has only its
-    payload checked again."""
+    checked once per (v, D) too."""
     prefs, _, alts, friends = tables
     n = len(prefs)
     bag, off, caps, sums = rec.bag, rec.off, rec.caps, rec.sums
     groups = {}  # D -> (in-friend positions, {v: bounds})
-    votes = {}  # v -> (payload floor, `_live` bounds of inner, of outer agents)
-    checked = {}  # (v, D, c) -> the payload's lower bound, count mode
-    for key, payload in items:
-        floor = checked.get(key) if counted else None
-        if floor is None:
-            v, dag, c = key
-            group = groups.get(dag)
-            if group is None:
-                ins = _in_friends(friends, bag, dag)
-                if ins is None:
-                    return False
-                group = groups[dag] = (ins, {})
-            bounds = group[1].get(v)
-            if bounds is None:
-                by_vote = votes.get(v)
-                if by_vote is None:
-                    if any(vk not in prefs[x] for x, vk in zip(bag, v)):
-                        return False
-                    floor = None
-                    if counted:
-                        floor = [0] * len(payload)
-                        for vk in v:
-                            floor[vk] += 1
-                    by_vote = votes[v] = (floor, _rules(tables, rec, v, rec.inner),
-                                          _rules(tables, rec, v, rec.outer))
-                floor, inner_rules, rules = by_vote
-                lo = _tallies(alts, bag, v, group[0])
-                if not _live(lo, inner_rules):
-                    return False
-                hi = ()
-                for k, cap in enumerate(caps):
-                    hi += lo[off[k]:off[k + 1]] if cap is None else cap
-                bounds = group[1][v] = (lo, hi, floor, rules)
-            lo, hi, floor, rules = bounds
-            if len(c) != off[-1] or not (all(map(le, lo, c)) and all(map(le, c, hi))):
-                return False
-            for start, stop in sums:
-                if sum(c[start:stop]) > c[stop]:
-                    return False
-            if not _live(c, rules):
-                return False
-            if counted:
-                checked[key] = floor
-        if counted and not (all(map(le, floor, payload)) and sum(payload) <= n):
+    votes = {}  # v -> (count floor, `_live` bounds of inner, of outer agents)
+    for (v, dag, c), payload in items:
+        if counted and not payload:
             return False
+        group = groups.get(dag)
+        if group is None:
+            ins = _in_friends(friends, bag, dag)
+            if ins is None:
+                return False
+            group = groups[dag] = (ins, {})
+        bounds = group[1].get(v)
+        if bounds is None:
+            by_vote = votes.get(v)
+            if by_vote is None:
+                if any(vk not in prefs[x] for x, vk in zip(bag, v)):
+                    return False
+                floor = None
+                if counted:
+                    floor = [0] * len(next(iter(payload)))
+                    for vk in v:
+                        floor[vk] += 1
+                by_vote = votes[v] = (floor, _rules(tables, rec, v, rec.inner),
+                                      _rules(tables, rec, v, rec.outer))
+            floor, inner_rules, rules = by_vote
+            lo = _tallies(alts, bag, v, group[0])
+            if not _live(lo, inner_rules):
+                return False
+            hi = ()
+            for k, cap in enumerate(caps):
+                hi += lo[off[k]:off[k + 1]] if cap is None else cap
+            bounds = group[1][v] = (lo, hi, floor, rules)
+        lo, hi, floor, rules = bounds
+        if len(c) != off[-1] or not (all(map(le, lo, c)) and all(map(le, c, hi))):
+            return False
+        for start, stop in sums:
+            if sum(c[start:stop]) > c[stop]:
+                return False
+        if not _live(c, rules):
+            return False
+        if counted:
+            for counts in payload:
+                if not (all(map(le, floor, counts)) and sum(counts) <= n):
+                    return False
     return True
+
+
+def _with_vector(front, p):
+    """The antichain `front` with `p` added: `front` itself when one of
+    its vectors is <= p, else a new list without the vectors >= p."""
+    kept = []
+    for q in front:
+        if all(map(le, q, p)):
+            return front
+        if not all(map(le, p, q)):
+            kept.append(q)
+    kept.append(p)
+    return kept
 
 
 class _Engine:
     """Shared sweep for all three programs over `(v, D, c)` keys (see the
-    module docstring). Payloads are int tuples. Without `rivals` (count
-    mode) the payload is the subtree's vote count per candidate and
-    slices are keyed by `((v, D, c), payload)`. With `rivals`, candidate
-    indexes d paired with the index `c`, a payload's coordinate j is a
-    weighted score(rivals[j]) - score(c) of a subtree state: margin mode
-    maps `(v, D, c)` to the largest, per coordinate, and front mode (with
-    `front`) to the list of Pareto-minimal payloads. `_add`, one method
-    per mode picked when the engine is made, stores a pair; `_pairs`
-    yields `((v, D, c), payload)` and `_size` counts those pairs. `run`
-    builds each node's bag record once, in the same pass, and a leaf is
-    an insert into the empty state."""
+    module docstring). A slice maps each key to one payload container
+    of int-tuple vectors. Without `rivals` (count mode) a vector is the
+    subtree's vote count per candidate and a container the set of those
+    vectors. With `rivals`, candidate indexes d paired with the index
+    `c`, a vector's coordinate j is a weighted score(rivals[j]) -
+    score(c) of a subtree state: in margin mode the container is the
+    largest vector, per coordinate, and in front mode (with `front`) the
+    list of Pareto-minimal vectors. Only three functions per mode,
+    picked when the engine is made, touch containers: `_shift(container,
+    row)` adds a value row to every vector, `_merge(slice_, key,
+    container)` stores a container under a key, uniting it with the one
+    already there, and `_combine(left, right)` holds every sum of a left
+    and a right vector. None of them changes a container in place, since
+    an insert stores one container under several keys. `_size` counts
+    the stored (key, vector) pairs. `run` builds each node's bag record
+    once, in the same pass, and a leaf is an insert into the empty
+    state."""
 
     def __init__(self, inst, ntd, rivals=None, c=None, front=False,
                  max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
         self.ntd = ntd
         self.counted = rivals is None
-        self.front = front
+        self.margin = not (self.counted or front)
         self.max_table = max_table
         self.trace = trace
         self.stats = stats
@@ -322,7 +348,7 @@ class _Engine:
         self.tables = _agent_tables(inst)
         self.prefs, _, self.alts, self.nbr = self.tables
         self.altpos = tuple({a: k for k, a in enumerate(alt)} for alt in self.alts)
-        # values[x][k]: the payload of agent x voting candidate index k,
+        # values[x][k]: the vector of agent x voting candidate index k,
         # one shared row per weight
         weights = {ag.weight for ag in inst.agents}
         if self.counted:
@@ -337,16 +363,41 @@ class _Engine:
             }
             self.zero = (0,) * len(rivals)
         self.values = tuple(rows[ag.weight] for ag in inst.agents)
-        # a plain function, so that the engine holds no reference to itself
-        self._add = (self._add_count if self.counted
-                     else self._add_front if front else self._add_margin)
+        # `start`: the container of the empty state, the zero vector alone;
+        # plain functions, so that the engine holds no reference to itself
+        if self.counted:
+            self.start = {self.zero}
+            self._shift, self._merge, self._combine = (
+                self._shift_count, self._merge_count, self._combine_count)
+        elif front:
+            self.start = [self.zero]
+            self._shift, self._merge, self._combine = (
+                self._shift_front, self._merge_front, self._combine_front)
+        else:
+            self.start = self.zero
+            self._shift, self._merge, self._combine = (
+                self._shift_margin, self._merge_margin, self._shift_margin)
 
     @staticmethod
-    def _add_count(slice_, key, payload):
-        slice_[(key, payload)] = payload
+    def _shift_count(counts, row):
+        return {tuple(map(add, p, row)) for p in counts}
 
     @staticmethod
-    def _add_margin(slice_, key, payload):
+    def _merge_count(slice_, key, counts):
+        old = slice_.get(key)
+        slice_[key] = counts if old is None else old | counts
+
+    @staticmethod
+    def _combine_count(left, right):
+        return {tuple(map(add, p, q)) for p in left for q in right}
+
+    @staticmethod
+    def _shift_margin(payload, row):
+        # the margin mode's combine too: one vector per side
+        return tuple(map(add, payload, row))
+
+    @staticmethod
+    def _merge_margin(slice_, key, payload):
         old = slice_.get(key)
         if old is None:
             slice_[key] = payload
@@ -354,39 +405,36 @@ class _Engine:
             slice_[key] = tuple(map(max, old, payload))
 
     @staticmethod
-    def _add_front(slice_, key, payload):
-        old = slice_.get(key)
-        if old is None:
-            slice_[key] = [payload]
-            return
-        # the front is an antichain, so a payload that some vector is
-        # <= dominates none of them
-        kept = []
-        for q in old:
-            if all(map(le, q, payload)):
-                return
-            if not all(map(le, payload, q)):
-                kept.append(q)
-        kept.append(payload)
-        slice_[key] = kept
+    def _shift_front(front, row):
+        # adding one row to every vector keeps the front an antichain
+        return [tuple(map(add, p, row)) for p in front]
 
-    def _pairs(self, slice_):
-        if self.counted:
-            return slice_.keys()
-        if self.front:
-            return ((key, p) for key, front in slice_.items() for p in front)
-        return slice_.items()
+    @staticmethod
+    def _merge_front(slice_, key, front):
+        old = slice_.get(key)
+        if old is not None:
+            for p in front:
+                old = _with_vector(old, p)
+            front = old
+        slice_[key] = front
+
+    @staticmethod
+    def _combine_front(left, right):
+        out = []
+        for p in left:
+            for q in right:
+                out = _with_vector(out, tuple(map(add, p, q)))
+        return out
 
     def _size(self, slice_):
-        return sum(map(len, slice_.values())) if self.front else len(slice_)
+        return len(slice_) if self.margin else sum(map(len, slice_.values()))
 
     def run(self):
         done = {}  # node -> (bag record, slice), until its parent takes it
         live = 0
         for i, (nd, rec) in enumerate(zip(self.ntd.nodes, _bags(self.ntd, self.alts, self.nbr))):
             if nd.kind == "leaf":
-                sl = {}
-                self._add(sl, ((), frozenset(), ()), self.zero)
+                sl = {((), frozenset(), ()): self.start}
                 if nd.bag:
                     sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
             elif nd.kind == "join":
@@ -398,9 +446,8 @@ class _Engine:
                 live -= self._size(child)
                 sl = (self._insert(rec, crec, child, nd.vertex) if nd.kind == "insert"
                       else self._forget(crec, child, nd.vertex))
-            # each key once, but count mode stores one per count vector
-            assert _keys_compatible(self.tables, rec, sl.keys() if self.counted else sl.items(),
-                                    self.counted), "incompatible key stored at node %d" % i
+            assert _keys_compatible(self.tables, rec, sl.items(), self.counted), \
+                "incompatible key stored at node %d" % i
             done[i] = rec, sl
             size = self._size(sl)
             live += size
@@ -429,10 +476,10 @@ class _Engine:
         # counts change
         watched = [px] + [k for k, y in enumerate(bag) if y in self.nbr[x]]
         rules_of = {}
-        add_ = self._add
+        shift, merge = self._shift, self._merge
         places_of = {}
         sl = {}
-        for (cv, cd, cc), payload in self._pairs(child):
+        for (cv, cd, cc), payload in child.items():
             # the places of x depend on the child's DAG alone, and x's vote
             # adds the same to the payload in every place
             places = places_of.get(cd)
@@ -444,7 +491,7 @@ class _Engine:
                 rules = rules_of.get(v)
                 if rules is None:
                     rules = rules_of[v] = _rules(self.tables, rec, v, watched)
-                grown.append((c, v, tuple(map(add, payload, vals[c])), rules))
+                grown.append((c, v, shift(payload, vals[c]), rules))
             head, tail = cc[:split], cc[split:]
             for in_pos, bumps, arcs in places:
                 votes_in = [cv[k] for k in in_pos]
@@ -454,7 +501,7 @@ class _Engine:
                     delta = bumps.get(c)
                     new = base if delta is None else tuple(map(add, base, delta))
                     if _live(new, rules):
-                        add_(sl, (v, arcs, new), grown_payload)
+                        merge(sl, (v, arcs, new), grown_payload)
         return sl
 
     def _places(self, x, crec, cd, px):
@@ -469,27 +516,32 @@ class _Engine:
         width = coff[-1] + wx
         # per bag vertex: the admissible arc states toward x
         options = [((1, 2) if y in nbrx else (0, 1, 2)) for y in cbag]
-        preds = {y: set() for y in cbag}
-        succs = {y: set() for y in cbag}
+        preds, succs = {}, {}
         for u, w in cd:
-            preds[w].add(u)
-            succs[u].add(w)
+            preds.setdefault(w, set()).add(u)
+            succs.setdefault(u, set()).add(w)
         places = []
         for states in itertools.product(*options):
-            ins = {y for y, st in zip(cbag, states) if st == 1}
-            outs = {y for y, st in zip(cbag, states) if st == 2}
+            ins, outs = set(), set()
+            for y, st in zip(cbag, states):
+                if st == 1:
+                    ins.add(y)
+                elif st == 2:
+                    outs.add(y)
+            if not (ins or outs):
+                # x unrelated to every bag agent: the child's DAG as it is
+                places.append(((), {}, cd))
+                continue
             # closure: ancestors of in-arcs point at x too, successors
             # of out-arcs are reached from x, and every in/out pair is
             # already related (which also keeps D acyclic)
-            if any(not preds[y] <= ins for y in ins):
+            if any(y in preds and not preds[y] <= ins for y in ins):
                 continue
-            if any(not succs[y] <= outs for y in outs):
+            if any(y in succs and not succs[y] <= outs for y in outs):
                 continue
             if any((i2, o2) not in cd for i2 in ins for o2 in outs):
                 continue
-            arcs = frozenset(
-                itertools.chain(cd, ((y, x) for y in ins), ((x, y) for y in outs))
-            )
+            arcs = cd.union([(y, x) for y in ins], [(x, y) for y in outs])
             # each friend after x counts x once in `a`, and in the `s`
             # field of x's vote when that is one of its alternatives
             followers = [(coff[k] + (wx if k >= px else 0), y)
@@ -518,25 +570,25 @@ class _Engine:
         sl = {}
         # every friend of x is seen below, so the child holds only states
         # in which x meets the voting rule
-        for (cv, cd, cc), payload in self._pairs(child):
+        merge = self._merge
+        for (cv, cd, cc), payload in child.items():
             # reduce each distinct child DAG once; its entries share the result
             arcs = dags.get(cd)
             if arcs is None:
                 arcs = dags[cd] = frozenset((u, w) for u, w in cd if x not in (u, w))
-            self._add(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[stop:]),
-                      payload)
+            merge(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[stop:]), payload)
         return sl
 
     def _join(self, rec, left, right):
         bag = rec.bag
         groups = {}
-        for (v, d, c), payload in self._pairs(left):
+        for (v, d, c), payload in left.items():
             groups.setdefault((v, d), ([], []))[0].append((c, payload))
-        for (v, d, c), payload in self._pairs(right):
+        for (v, d, c), payload in right.items():
             grp = groups.get((v, d))
             if grp is not None:
                 grp[1].append((c, payload))
-        add_ = self._add
+        shift, merge, combine = self._shift, self._merge, self._combine
         ins_of = {}
         rules_of = {}
         sl = {}
@@ -553,21 +605,23 @@ class _Engine:
             dup = self.zero
             for k, x in enumerate(bag):
                 dup = tuple(map(add, dup, self.values[x][v[k]]))
+            alone = shift(self.start, dup)
+            minus = tuple(map(sub, self.zero, dup))
             # the rows and unseen counts of agents whose friends all lie
             # in the bag are the same on both sides and here
             rules = rules_of.get(v)
             if rules is None:
                 rules = rules_of[v] = _rules(self.tables, rec, v, rec.outer)
             # None where the right side adds nothing, so that the left
-            # side's tuple is stored as it is
+            # side's tuple or container is stored as it is
             rights = [(None if c2 == overlap else tuple(map(sub, c2, overlap)),
-                       None if p2 == dup else tuple(map(sub, p2, dup)))
+                       None if p2 == alone else shift(p2, minus))
                       for c2, p2 in rights]
             for c1, p1 in lefts:
                 for c2, p2 in rights:
                     c = c1 if c2 is None else tuple(map(add, c1, c2))
                     if _live(c, rules):
-                        add_(sl, (v, d, c), p1 if p2 is None else tuple(map(add, p1, p2)))
+                        merge(sl, (v, d, c), p1 if p2 is None else combine(p1, p2))
         return sl
 
 
@@ -638,11 +692,11 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
     ante = tuple(anterior[x] for x in bag)
     flat = tuple(itertools.chain.from_iterable(r + (a,) for r, a in zip(rows, ante)))
     key = (v, frozenset(arcs), flat)
-    cvec = None if counts is None else tuple(counts.get(c, 0) for c in inst.candidates)
+    cvecs = None if counts is None else {tuple(counts.get(c, 0) for c in inst.candidates)}
     # the voting rule binds agents whose whole neighborhood is in the bag;
     # how many friends of the others are still unseen is not known
     unseen = tuple(0 if friends[x] <= bagset else None for x in bag)
-    return _keys_compatible(tables, _bag_record(alts, friends, bag, unseen), [(key, cvec)],
+    return _keys_compatible(tables, _bag_record(alts, friends, bag, unseen), [(key, cvecs)],
                             counts is not None)
 
 
@@ -655,7 +709,7 @@ def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, sta
         )
     validate_nice(inst.graph, ntd)
     root = _Engine(inst, ntd, max_table=max_table, trace=trace, stats=stats).run()
-    return frozenset(ScoreFunction(inst.candidates, p) for p in root.values())
+    return frozenset(ScoreFunction(inst.candidates, p) for counts in root.values() for p in counts)
 
 
 def _rival_sweep(inst, ntd, c, front, max_table, trace, stats):

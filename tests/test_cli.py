@@ -202,6 +202,27 @@ class TestDecisionCommands:
         assert "cross-check: ok" in out
         assert "decision: %s" % decision in out
 
+    @pytest.mark.parametrize("inst", [p3_gadget(), gen_random(3, 6, 4, max_weight=5)],
+                             ids=["weighted", "weighted-four-candidates"])
+    def test_auto_picks_dp_for_weighted_possible(self, capsys, tmp_path, inst):
+        """Same decision as brute force, but the DP prints no witness."""
+        path = save(tmp_path, inst)
+        yes = 0
+        for c in inst.candidates:
+            code, out, err = run(capsys, "possible", "--instance", path, "--candidate", c)
+            assert code == 0, err
+            assert "method: dp" in out
+            assert "witness" not in out
+            decision = [l for l in out.splitlines() if l.startswith("decision: ")]
+            code, out, err = run(capsys, "possible", "--instance", path, "--candidate", c,
+                                 "--method", "bf")
+            assert code == 0, err
+            assert decision == [l for l in out.splitlines() if l.startswith("decision: ")]
+            if decision == ["decision: YES"]:
+                yes += 1
+                assert "witness: " in out
+        assert yes
+
     @pytest.mark.parametrize("question, key, order", [
         ("possible", "witness", (0, 1)), ("necessary", "counterexample", (1, 0)),
     ])

@@ -122,6 +122,19 @@ class TestOracleEquivalence:
         for c in inst.candidates:
             assert necessary_winner_dp(inst, ntd, c)[0] == necessary_winner_bf(inst, c)[0]
 
+    # keys holding many count vectors: up to 13 on the path, 83 on the forest
+    @pytest.mark.parametrize("inst", [
+        Instance(("a", "b"), tuple(AgentPrefs("ab"[x % 2], ["a", "b"]) for x in range(12)),
+                 frozenset((x, x + 1) for x in range(11)), "a"),
+        gen_random(1, 12, 3, edge_prob=0.9, forest=True, pref_size=3),
+    ], ids=["alternating-path-12", "forest-3-candidates"])
+    def test_achievable_scores_where_keys_hold_many_vectors(self, monkeypatch, inst):
+        found = []
+        calls = captured_checks(
+            monkeypatch, lambda: found.append(achievable_scores_dp(inst, nice_td_of(inst))))
+        assert max(len(counts) for _, _, items, _ in calls for _, counts in items) >= 10
+        assert found[0] == achievable_scores_bf(inst)
+
 
 def check_margins_against_bf(inst):
     """margins_dp against brute force for every ordered pair, and the
@@ -212,7 +225,7 @@ class TestPossibleFront:
     def test_front_is_the_minimum_of_the_count_sweep(self, seed, n, m):
         # node by node: the same nodes and keys as the count sweep, each
         # key's front the minimal margin vectors of its count vectors, so
-        # never more entries, and the checker sees each key once
+        # never more entries
         inst = gen_random(seed, n, m, edge_prob=0.4)
         ntd = nice_td_of(inst)
         count_trace = []
@@ -227,11 +240,10 @@ class TestPossibleFront:
             assert [t[:2] for t in trace] == [t[:2] for t in count_trace]
             assert all(t[2] <= u[2] for t, u in zip(trace, count_trace))
             assert len(calls) == len(count_calls)
-            for (_, _, fronts, _), (_, _, pairs, _) in zip(calls, count_calls):
-                mapped = {}
-                for key, counts in pairs:
-                    mapped.setdefault(key, set()).add(
-                        tuple(q - counts[ci] for d, q in enumerate(counts) if d != ci))
+            for (_, _, fronts, _), (_, _, slices, _) in zip(calls, count_calls):
+                mapped = {key: {tuple(q - counts[ci] for d, q in enumerate(counts) if d != ci)
+                                for counts in vectors}
+                          for key, vectors in slices}
                 assert len(fronts) == len(mapped)
                 for key, front in fronts:
                     assert len(set(front)) == len(front)
@@ -413,8 +425,9 @@ def reference_keys_compatible(tables, bag, items, counted, unseen):
     """The table-key checker as it stood over nested keys (v, D, s, a),
     with one `s` row and one `a` value per bag agent, checking every
     condition on every key, plus the voting-rule bound of each agent
-    whose `unseen` count is not None. Kept as the reference for the flat
-    checker."""
+    whose `unseen` count is not None. When `counted` each payload is a
+    container of count vectors, which must not be empty, and every
+    vector is checked. Kept as the reference for the flat checker."""
     prefs, top, alts, friends = tables
     bagset = frozenset(bag)
     pos = {y: k for k, y in enumerate(bag)}
@@ -454,17 +467,20 @@ def reference_keys_compatible(tables, bag, items, counted, unseen):
                     top[x], alts[x], v[k], s[k], a[k], unseen[k]):
                 return False
         if counted:
-            if any(q < 0 for q in payload) or sum(payload) > n:
+            if not payload:
                 return False
-            if any(q < v.count(c) for c, q in enumerate(payload)):
-                return False
+            for counts in payload:
+                if any(q < 0 for q in counts) or sum(counts) > n:
+                    return False
+                if any(q < v.count(c) for c, q in enumerate(counts)):
+                    return False
     return True
 
 
 def nested_item(rec, item):
     """A flat ((v, D, c), payload) item over bag record `rec` in the
-    nested (v, D, s, a) form; fields past the bag's rows become one more
-    row."""
+    nested (v, D, s, a) form, with the payload container as it is;
+    fields past the bag's rows become one more row."""
     (v, dag, c), payload = item
     bag, off = rec.bag, rec.off
     rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
@@ -493,7 +509,10 @@ def captured_checks(monkeypatch, run):
 def mutants(rng, tables, rec, item, counted, n_candidates):
     """One-field mutations of a flat item: a vote, an `s` field, an `s`
     field pushed just past the voting-rule bound, an `a` field, one field
-    too many, an arc dropped or flipped, a count-payload field."""
+    too many, an arc dropped or flipped; in count mode also one count
+    vector of the container with a field moved by one or pushed just
+    below the bag's own votes, the others kept (see `bad_counts`), and
+    the empty container."""
     top, alts = tables[1], tables[2]
     (v, dag, c), payload = item
     bag, off, unseen = rec.bag, rec.off, rec.unseen
@@ -520,18 +539,30 @@ def mutants(rng, tables, rec, item, counted, n_candidates):
         out.append(((v, dag - {(u, w)}, c), payload))
         out.append(((v, (dag - {(u, w)}) | {(w, u)}, c), payload))
     if counted:
-        j = rng.randrange(len(payload))
-        step = rng.choice((-1, 1))
-        out.append(((v, dag, c), payload[:j] + (payload[j] + step,) + payload[j + 1:]))
+        counts = rng.choice(sorted(payload))
+        j = rng.randrange(len(counts))
+        moved = counts[:j] + (counts[j] + rng.choice((-1, 1)),) + counts[j + 1:]
+        out.append(((v, dag, c), (payload - {counts}) | {moved}))
+        out += [((v, dag, c), bad) for bad in bad_counts(rng, v, payload)]
     return out
+
+
+def bad_counts(rng, v, payload):
+    """Two count containers that no state can have: `payload` with one
+    of its vectors pushed one below the bag's own votes in a field, and
+    the empty container."""
+    counts = rng.choice(sorted(payload))
+    j = rng.randrange(len(counts))
+    low = counts[:j] + (v.count(j) - 1,) + counts[j + 1:]
+    return [(payload - {counts}) | {low}, set()]
 
 
 def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     """The flat checker against the reference on every captured slice, on
     mutants of sampled items alone, and on each mutant placed after the
-    first items of its slice that share its DAG, so that the per-DAG,
-    per-(v, D) and repeated-key caches are filled when it arrives (a
-    payload mutant then arrives as a repeated key)."""
+    first items of its slice that share its DAG, so that the per-DAG
+    and per-(v, D) caches are filled when it arrives (a payload mutant
+    then arrives after its own key with the original container)."""
     for tables, rec, items, counted in calls:
         def agree(flat):
             nested = [nested_item(rec, it) for it in flat]
@@ -576,16 +607,38 @@ class TestKeyChecker:
             calls = captured_checks(monkeypatch, lambda: sweep_all(inst))
             compare_checkers(calls, m, rng)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bad_count_containers_are_rejected(self, monkeypatch, seed):
+        # one bad vector among good ones, or none at all, fails the key
+        # and so the slice, in both checkers
+        rng = random.Random(seed)
+        inst = gen_random(seed, 10, 3, edge_prob=0.9, forest=True, pref_size=3)
+        calls = captured_checks(monkeypatch,
+                                lambda: achievable_scores_dp(inst, nice_td_of(inst)))
+        tried = 0
+        for tables, rec, items, counted in calls:
+            several = [k for k, (_, counts) in enumerate(items) if len(counts) > 1]
+            for idx in rng.sample(several, min(3, len(several))):
+                (v, dag, c), counts = items[idx]
+                for bad in bad_counts(rng, v, counts):
+                    corrupt = items[:idx] + [((v, dag, c), bad)] + items[idx + 1:]
+                    assert not dpsolver._keys_compatible(tables, rec, corrupt, counted)
+                    assert not reference_keys_compatible(
+                        tables, rec.bag, [nested_item(rec, it) for it in corrupt], counted,
+                        rec.unseen)
+                tried += 1
+        assert tried >= 5
+
 
 def join_without_overlap(original):
     """A join that adds the in-bag tallies back: one that forgot to
     subtract the overlap of its two sides."""
     def join(self, rec, left, right):
         sl = {}
-        for (v, d, c), p in self._pairs(original(self, rec, left, right)):
+        for (v, d, c), p in original(self, rec, left, right).items():
             ins = dpsolver._in_friends(self.nbr, rec.bag, d)
             extra = dpsolver._tallies(self.alts, rec.bag, v, ins)
-            self._add(sl, (v, d, tuple(map(add, c, extra))), p)
+            self._merge(sl, (v, d, tuple(map(add, c, extra))), p)
         return sl
     return join
 
@@ -623,10 +676,10 @@ def forget_keeping_row(original):
     def forget(self, crec, child, x):
         px, start, stop = forgotten_row(crec, x)
         sl = {}
-        for (v, d, c), p in self._pairs(child):
+        for (v, d, c), p in child.items():
             arcs = frozenset(arc for arc in d if x not in arc)
-            self._add(sl, (v[:px] + v[px + 1:], arcs, c[:start] + c[stop:] + c[start:stop]),
-                      p)
+            self._merge(sl, (v[:px] + v[px + 1:], arcs, c[:start] + c[stop:] + c[start:stop]),
+                        p)
         return sl
     return forget
 
@@ -638,7 +691,7 @@ def forget_with_rule(original):
         px, start, stop = forgotten_row(crec, x)
 
         def obeys(key):
-            v, _, c = key[0] if self.counted else key
+            v, _, c = key
             s, a = c[start:stop - 1], c[stop - 1]
             held = [alt for alt, q in zip(self.alts[x], s) if 2 * q > a]
             return v[px] == (held[0] if held else self.tables[1][x])
@@ -732,7 +785,9 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
 
     def run(self, real=dpsolver._Engine.run):
         root = real(self)
-        results.append((self.trace, sorted(root.values())))
+        values = ([p for counts in root.values() for p in counts] if self.counted
+                  else root.values())
+        results.append((self.trace, sorted(values)))
         return root
 
     with pytest.MonkeyPatch.context() as mp:
