@@ -4,8 +4,12 @@ Every instance compares the possible-winner decision of every
 candidate. Unweighted instances also compare the full achievable-score
 sets; weighted instances compare every ordered-pair margin, and every
 necessary-winner decision and offending candidate with the first rival
-whose brute-force margin is positive. Prints one line per mismatch and
-a summary; exits 1 when any mismatch was found.
+whose brute-force margin is positive. Each trial then pads its instance
+with one friendless agent that backs a seeded candidate at weight total
++ 1 and runs the weighted and possible-winner checks on it too: there
+the DP's outside-agent bound empties the backed candidate's necessary
+sweep (YES) and every other candidate's possible sweep (NO). Prints one
+line per mismatch and a summary; exits 1 when any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -23,6 +27,7 @@ from socialpolls.dpsolver import (
     possible_winner_dp,
 )
 from socialpolls.graphkit import heuristic_td, make_nice
+from socialpolls.model import AgentPrefs, Instance
 from socialpolls.oracle import (
     achievable_scores_bf,
     margins_bf,
@@ -68,6 +73,14 @@ def check_possible(inst, ntd):
     return mism
 
 
+def with_backer(inst, c):
+    """`inst` with one more agent, friendless and backing `c`, that
+    outweighs all the others together."""
+    other = next(d for d in inst.candidates if d != c)
+    backer = AgentPrefs(c, [c, other], inst.total_weight() + 1)
+    return Instance(inst.candidates, inst.agents + (backer,), inst.edges, inst.distinguished)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=200)
@@ -81,6 +94,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
+    # a second stream, so that the instances drawn match those of runs
+    # without the padded check
+    backed_rng = random.Random("backer:%d" % args.seed)
     bad = 0
     start = time.monotonic()
     for trial in range(args.trials):
@@ -98,6 +114,11 @@ def main(argv=None):
         ntd = make_nice(heuristic_td(inst.graph))
         check = check_weighted if args.weighted else check_unweighted
         mism = check(inst, ntd) + check_possible(inst, ntd)
+        backed = backed_rng.choice(inst.candidates)
+        padded = with_backer(inst, backed)
+        pad_ntd = make_nice(heuristic_td(padded.graph))
+        mism += ["padded for %s: %s" % (backed, line)
+                 for line in check_weighted(padded, pad_ntd) + check_possible(padded, pad_ntd)]
         if mism:
             bad += 1
             for line in mism:

@@ -60,12 +60,30 @@ can. A state is dead when no such future can make x's row agree with
 x's vote (`_live`), and no leaf, insert or join node stores one. At
 the forget node of x every friend is seen (r = 0), so the bound is
 then exactly the voting rule and the forget node tests nothing.
+
+The two decision sweeps, necessary (margin mode) and possible (front
+mode), also prune by one admissible bound on the agents outside the
+node's subtree; `margins_dp` and the count sweep stay exact. Agent x's
+row `edge[x]` holds, per rival, the most (necessary) or the least
+(possible) that x's vote can add to that margin, over the votes x can
+cast: its preferred set, or its top alone when x has no friends. A bag
+record's `neg` is the sum of `edge` over the vertices of the node's
+subtree minus the sum over all agents, so the agents outside add at
+most (at least) -neg. A margin payload <= neg in every coordinate can
+no longer give any rival a lead, and a front vector > neg in some
+coordinate can no longer end <= 0; neither is stored. A state that is
+dead stays dead at every node above, so a state that reaches a positive
+maximum, or a vector <= 0 at the root, is never pruned. The root's
+subtree is the whole poll (neg = 0), so necessary answers YES and
+possible NO exactly when the root slice is empty. A sweep whose slice
+empties still visits every node.
+
 A guard bounds the number of live table entries, stored (key, vector)
 pairs: a key counts once per vector of its container in count and
 front mode, and once in margin mode.
 
 The key invariant is written once, in `_keys_compatible`, and includes
-that bound. The sweep asserts it on every stored slice, so `python -O`
+both bounds. The sweep asserts it on every stored slice, so `python -O`
 skips it; the public `mutually_compatible` runs it on one key given
 over labels, with r = 0 for agents whose friends all lie in the bag.
 """
@@ -139,7 +157,8 @@ def _tallies(alts, bag, v, ins):
 
 class _BagRecord(NamedTuple):
     """What a sweep knows about one nice node's bag apart from its keys.
-    It depends on the instance and the decomposition alone."""
+    It depends on the instance and the decomposition alone, and `neg`
+    also on the question a bounded sweep answers."""
 
     bag: tuple
     off: tuple  # where each agent's row starts in `c`, then the length of `c`
@@ -148,9 +167,10 @@ class _BagRecord(NamedTuple):
     outer: tuple  # positions of the others
     caps: tuple  # per agent: its degree once per field if outer, else None
     sums: tuple  # per outer agent with alternatives: its (s_1, a) indexes
+    neg: tuple  # the outside-agent bound (module docstring), or None
 
 
-def _bag_record(alts, friends, bag, unseen):
+def _bag_record(alts, friends, bag, unseen, neg=None):
     bagset = frozenset(bag)
     off, inner, outer, caps, sums = [0], [], [], [], []
     for k, x in enumerate(bag):
@@ -164,32 +184,49 @@ def _bag_record(alts, friends, bag, unseen):
             if alts[x]:
                 sums.append((off[k], off[k + 1] - 1))
     return _BagRecord(bag, tuple(off), unseen, tuple(inner), tuple(outer), tuple(caps),
-                      tuple(sums))
+                      tuple(sums), neg)
 
 
 _EMPTY_BAG = _bag_record((), (), (), ())
 
 
-def _bags(ntd, alts, friends):
+def _plus(p, q):
+    return tuple(map(add, p, q))
+
+
+def _bags(ntd, alts, friends, edge=None, total=None):
     """Each nice node's bag record, in node order. A bag agent's unseen
     count is the number of its friends outside the vertices of the
     node's subtree, so one pass bottom up gives them all; a record is
-    kept only until its parent's is built."""
+    kept only until its parent's is built. With per-agent rows `edge`
+    and their sum `total`, the same pass sums `edge` over the subtree
+    and stores that sum minus `total` as `neg`; without, `neg` is None."""
     waiting = {}
     for i, nd in enumerate(ntd.nodes):
+        neg = None
         if nd.kind == "leaf":
             row = tuple(len(friends[x]) for x in nd.bag)
+            if edge is not None:
+                neg = tuple(-t for t in total)
+                for x in nd.bag:
+                    neg = _plus(neg, edge[x])
         elif nd.kind == "join":
             # the two subtrees share only the bag, so a friend outside
             # the bag that neither side has seen is missed by both
-            left, right = (waiting.pop(k).unseen for k in nd.children)
+            left, right = (waiting.pop(k) for k in nd.children)
             bagset = frozenset(nd.bag)
             row = tuple(rl + rr - len(friends[x] - bagset)
-                        for x, rl, rr in zip(nd.bag, left, right))
+                        for x, rl, rr in zip(nd.bag, left.unseen, right.unseen))
+            if edge is not None:
+                # both sides count the bag agents' rows
+                neg = _plus(_plus(left.neg, right.neg), total)
+                for x in nd.bag:
+                    neg = tuple(map(sub, neg, edge[x]))
         else:
             child = waiting.pop(nd.children[0])
             cr = dict(zip(child.bag, child.unseen))
             y = nd.vertex
+            neg = child.neg
             if nd.kind == "forget":
                 row = tuple(cr[x] for x in nd.bag)
             else:
@@ -197,7 +234,9 @@ def _bags(ntd, alts, friends):
                 # child's bag, and its friends there see it now
                 row = tuple(len(friends[y].difference(child.bag)) if x == y
                             else cr[x] - (x in friends[y]) for x in nd.bag)
-        waiting[i] = rec = _bag_record(alts, friends, nd.bag, row)
+                if edge is not None:
+                    neg = _plus(neg, edge[y])
+        waiting[i] = rec = _bag_record(alts, friends, nd.bag, row, neg)
         yield rec
 
 
@@ -236,14 +275,18 @@ def _live(c, rules):
     return True
 
 
-def _keys_compatible(tables, rec, items, counted):
+def _keys_compatible(tables, rec, items, kind):
     """Could each key in `items`, ((v, D, c), payload) pairs over the bag
     of record `rec` in index form, come from a partial poll whose voting
-    rule every bag agent can still meet? When `counted` each payload is a
-    container of count vectors, which must hold at least one and all of
-    which are checked too. The record's unseen counts give the bound of
-    `_live`, skipped where None. The checker reads only that static
-    record, never what a transition computed.
+    rule every bag agent can still meet? `kind` names the payload: a
+    "count" container of count vectors or a "front" list of margin
+    vectors, either of which must hold at least one vector, or one
+    "margin" vector. Count vectors are all checked too. The record's
+    unseen counts give the bound of `_live`, skipped where None, and its
+    `neg`, where not None, the outside-agent bound: a margin vector must
+    exceed it in some coordinate and a front vector must not exceed it
+    in any. The checker reads only that static record, never what a
+    transition computed.
 
     The conditions on v alone are checked once per distinct v, and
     those on D alone once per distinct D. The bounds that v and D put
@@ -255,11 +298,12 @@ def _keys_compatible(tables, rec, items, counted):
     checked once per (v, D) too."""
     prefs, _, alts, friends = tables
     n = len(prefs)
-    bag, off, caps, sums = rec.bag, rec.off, rec.caps, rec.sums
+    bag, off, caps, sums, neg = rec.bag, rec.off, rec.caps, rec.sums, rec.neg
+    counted = kind == "count"
     groups = {}  # D -> (in-friend positions, {v: bounds})
     votes = {}  # v -> (count floor, `_live` bounds of inner, of outer agents)
     for (v, dag, c), payload in items:
-        if counted and not payload:
+        if kind != "margin" and not payload:
             return False
         group = groups.get(dag)
         if group is None:
@@ -300,6 +344,14 @@ def _keys_compatible(tables, rec, items, counted):
             for counts in payload:
                 if not (all(map(le, floor, counts)) and sum(counts) <= n):
                     return False
+        elif neg is not None:
+            if kind == "margin":
+                if all(map(le, payload, neg)):
+                    return False
+            else:
+                for p in payload:
+                    if not all(map(le, p, neg)):
+                        return False
     return True
 
 
@@ -334,13 +386,21 @@ class _Engine:
     an insert stores one container under several keys. `_size` counts
     the stored (key, vector) pairs. `run` builds each node's bag record
     once, in the same pass, and a leaf is an insert into the empty
-    state."""
+    state.
 
-    def __init__(self, inst, ntd, rivals=None, c=None, front=False,
+    With `bounded` (margin or front mode) the sweep prunes by the
+    outside-agent bound of the module docstring: `edge` holds each
+    agent's row, every bag record its `neg`, and `_cut(container, neg)`
+    returns what of a container survives the bound, or None when nothing
+    does. It is applied where vectors are made, to an insert's shifted
+    payload and a join's combined one; a forget changes neither the
+    subtree nor the payloads. A bounded sweep may end with an empty
+    root, which its caller reads as the answer."""
+
+    def __init__(self, inst, ntd, rivals=None, c=None, front=False, bounded=False,
                  max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
         self.ntd = ntd
-        self.counted = rivals is None
-        self.margin = not (self.counted or front)
+        self.kind = "count" if rivals is None else "front" if front else "margin"
         self.max_table = max_table
         self.trace = trace
         self.stats = stats
@@ -351,7 +411,7 @@ class _Engine:
         # values[x][k]: the vector of agent x voting candidate index k,
         # one shared row per weight
         weights = {ag.weight for ag in inst.agents}
-        if self.counted:
+        if self.kind == "count":
             unit = tuple(tuple(int(j == k) for j in range(m)) for k in range(m))
             rows = dict.fromkeys(weights, unit)
             self.zero = (0,) * m
@@ -365,7 +425,7 @@ class _Engine:
         self.values = tuple(rows[ag.weight] for ag in inst.agents)
         # `start`: the container of the empty state, the zero vector alone;
         # plain functions, so that the engine holds no reference to itself
-        if self.counted:
+        if self.kind == "count":
             self.start = {self.zero}
             self._shift, self._merge, self._combine = (
                 self._shift_count, self._merge_count, self._combine_count)
@@ -377,6 +437,24 @@ class _Engine:
             self.start = self.zero
             self._shift, self._merge, self._combine = (
                 self._shift_margin, self._merge_margin, self._shift_margin)
+        self.edge = self.total = self._cut = None
+        if bounded:
+            # what x's vote adds at most (margin) or at least (front) to
+            # each margin; a friendless agent always votes its top
+            pick = max if self.kind == "margin" else min
+            edge_of = {}  # (weight, votes) -> row
+            edge = []
+            for x, ag in enumerate(inst.agents):
+                votes = self.prefs[x] if self.nbr[x] else (self.tables[1][x],)
+                row = edge_of.get((ag.weight, votes))
+                if row is None:
+                    vals = self.values[x]
+                    row = edge_of[ag.weight, votes] = tuple(
+                        pick(col) for col in zip(*(vals[k] for k in votes)))
+                edge.append(row)
+            self.edge = tuple(edge)
+            self.total = tuple(map(sum, zip(self.zero, *edge)))
+            self._cut = self._cut_margin if self.kind == "margin" else self._cut_front
 
     @staticmethod
     def _shift_count(counts, row):
@@ -426,17 +504,31 @@ class _Engine:
                 out = _with_vector(out, tuple(map(add, p, q)))
         return out
 
+    @staticmethod
+    def _cut_margin(payload, neg):
+        # dead when no rival can still get above 0
+        return None if all(map(le, payload, neg)) else payload
+
+    @staticmethod
+    def _cut_front(front, neg):
+        # a vector above neg in some coordinate ends above 0 there
+        kept = [p for p in front if all(map(le, p, neg))]
+        return kept or None
+
     def _size(self, slice_):
-        return len(slice_) if self.margin else sum(map(len, slice_.values()))
+        return len(slice_) if self.kind == "margin" else sum(map(len, slice_.values()))
 
     def run(self):
         done = {}  # node -> (bag record, slice), until its parent takes it
         live = 0
-        for i, (nd, rec) in enumerate(zip(self.ntd.nodes, _bags(self.ntd, self.alts, self.nbr))):
+        recs = _bags(self.ntd, self.alts, self.nbr, self.edge, self.total)
+        for i, (nd, rec) in enumerate(zip(self.ntd.nodes, recs)):
             if nd.kind == "leaf":
                 sl = {((), frozenset(), ()): self.start}
                 if nd.bag:
                     sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
+                elif rec.neg is not None and self._cut(self.start, rec.neg) is None:
+                    sl = {}
             elif nd.kind == "join":
                 left, right = (done.pop(k)[1] for k in nd.children)
                 live -= self._size(left) + self._size(right)
@@ -446,7 +538,7 @@ class _Engine:
                 live -= self._size(child)
                 sl = (self._insert(rec, crec, child, nd.vertex) if nd.kind == "insert"
                       else self._forget(crec, child, nd.vertex))
-            assert _keys_compatible(self.tables, rec, sl.items(), self.counted), \
+            assert _keys_compatible(self.tables, rec, sl.items(), self.kind), \
                 "incompatible key stored at node %d" % i
             done[i] = rec, sl
             size = self._size(sl)
@@ -461,7 +553,7 @@ class _Engine:
             if self.trace is not None:
                 self.trace.append((i, nd.kind, size))
         root = done[self.ntd.root][1]
-        if not root:
+        if not root and self._cut is None:
             raise AssertionError("empty root table; the sweep lost all states")
         return root
 
@@ -476,22 +568,29 @@ class _Engine:
         # counts change
         watched = [px] + [k for k, y in enumerate(bag) if y in self.nbr[x]]
         rules_of = {}
-        shift, merge = self._shift, self._merge
+        shift, merge, cut, neg = self._shift, self._merge, self._cut, rec.neg
         places_of = {}
         sl = {}
         for (cv, cd, cc), payload in child.items():
-            # the places of x depend on the child's DAG alone, and x's vote
-            # adds the same to the payload in every place
-            places = places_of.get(cd)
-            if places is None:
-                places = places_of[cd] = self._places(x, crec, cd, px)
+            # x's vote adds the same to the payload in every place
             grown = []
             for c in self.prefs[x]:
+                grown_payload = shift(payload, vals[c])
+                if neg is not None:
+                    grown_payload = cut(grown_payload, neg)
+                    if grown_payload is None:
+                        continue
                 v = cv[:px] + (c,) + cv[px:]
                 rules = rules_of.get(v)
                 if rules is None:
                     rules = rules_of[v] = _rules(self.tables, rec, v, watched)
-                grown.append((c, v, shift(payload, vals[c]), rules))
+                grown.append((c, v, grown_payload, rules))
+            if not grown:
+                continue
+            # the places of x depend on the child's DAG alone
+            places = places_of.get(cd)
+            if places is None:
+                places = places_of[cd] = self._places(x, crec, cd, px)
             head, tail = cc[:split], cc[split:]
             for in_pos, bumps, arcs in places:
                 votes_in = [cv[k] for k in in_pos]
@@ -589,6 +688,7 @@ class _Engine:
             if grp is not None:
                 grp[1].append((c, payload))
         shift, merge, combine = self._shift, self._merge, self._combine
+        cut, neg = self._cut, rec.neg
         ins_of = {}
         rules_of = {}
         sl = {}
@@ -621,7 +721,12 @@ class _Engine:
                 for c2, p2 in rights:
                     c = c1 if c2 is None else tuple(map(add, c1, c2))
                     if _live(c, rules):
-                        merge(sl, (v, d, c), p1 if p2 is None else combine(p1, p2))
+                        p = p1 if p2 is None else combine(p1, p2)
+                        if neg is not None:
+                            p = cut(p, neg)
+                            if p is None:
+                                continue
+                        merge(sl, (v, d, c), p)
         return sl
 
 
@@ -697,7 +802,7 @@ def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
     # how many friends of the others are still unseen is not known
     unseen = tuple(0 if friends[x] <= bagset else None for x in bag)
     return _keys_compatible(tables, _bag_record(alts, friends, bag, unseen), [(key, cvecs)],
-                            counts is not None)
+                            "margin" if counts is None else "count")
 
 
 def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
@@ -712,11 +817,12 @@ def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, sta
     return frozenset(ScoreFunction(inst.candidates, p) for counts in root.values() for p in counts)
 
 
-def _rival_sweep(inst, ntd, c, front, max_table, trace, stats):
+def _rival_sweep(inst, ntd, c, front, bounded, max_table, trace, stats):
     """The candidates other than `c`, in candidate order, and the root
     slice of one sweep whose payloads hold their margins against `c`
-    (margin or front mode). No sweep runs without a rival, and the root
-    is then None."""
+    (margin or front mode), pruned by the outside-agent bound when
+    `bounded`. No sweep runs without a rival, and the root is then
+    None."""
     index = inst.candidate_index
     if c not in index:
         raise PollInputError("unknown candidate %r" % (c,))
@@ -725,20 +831,25 @@ def _rival_sweep(inst, ntd, c, front, max_table, trace, stats):
     if not rivals:
         return rivals, None
     return rivals, _Engine(inst, ntd, tuple(index[d] for d in rivals), index[c], front,
-                           max_table, trace, stats).run()
+                           bounded, max_table, trace, stats).run()
 
 
 def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
     """Decision only: can `c` co-win some voting order? Any weights. One
-    sweep keeps the Pareto front of the margin vectors against `c`."""
-    _, root = _rival_sweep(inst, ntd, c, True, max_table, trace, stats)
-    return root is None or any(max(p) <= 0 for front in root.values() for p in front)
+    bounded sweep keeps the Pareto front of the margin vectors against
+    `c` that can still end <= 0 everywhere. At the root no agent is
+    outside, so every vector kept there is <= 0 and an empty root
+    means no."""
+    _, root = _rival_sweep(inst, ntd, c, front=True, bounded=True, max_table=max_table,
+                           trace=trace, stats=stats)
+    return root is None or bool(root)
 
 
 def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
     """{d: largest achievable weighted score(d) - score(c)} for every
     other candidate d, in candidate order, from one sweep. Any weights."""
-    rivals, root = _rival_sweep(inst, ntd, c, False, max_table, trace, stats)
+    rivals, root = _rival_sweep(inst, ntd, c, front=False, bounded=False,
+                                max_table=max_table, trace=trace, stats=stats)
     if root is None:
         return {}
     if len(root) != 1:
@@ -751,9 +862,15 @@ def necessary_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, s
 
     Returns (decision, offending): when the answer is no, `offending` is
     the first candidate, in candidate order, that can strictly beat `c`
-    on some order. One sweep covers every rival.
+    on some order. One bounded margin sweep covers every rival: it
+    keeps only keys that can still give some rival a lead, so an empty
+    root means yes, and a positive root margin is exact.
     """
-    for d, margin in margins_dp(inst, ntd, c, max_table, trace, stats).items():
-        if margin > 0:
-            return False, d
+    rivals, root = _rival_sweep(inst, ntd, c, front=False, bounded=True,
+                                max_table=max_table, trace=trace, stats=stats)
+    # the root bag is empty, so the root holds at most one key
+    for payload in (root or {}).values():
+        for d, margin in zip(rivals, payload):
+            if margin > 0:
+                return False, d
     return True, None

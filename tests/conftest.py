@@ -72,6 +72,14 @@ def naive_scores(inst, order):
     return tuple(scores[c] for c in inst.candidates)
 
 
+def with_backer(inst, c):
+    """`inst` with one more agent, friendless and backing `c`, that
+    outweighs all the others together."""
+    other = next(d for d in inst.candidates if d != c)
+    backer = AgentPrefs(c, [c, other], inst.total_weight() + 1)
+    return Instance(inst.candidates, inst.agents + (backer,), inst.edges, inst.distinguished)
+
+
 def nice_td_of(inst):
     return make_nice(heuristic_td(graph_of(inst)))
 

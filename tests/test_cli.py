@@ -374,22 +374,23 @@ class TestScoresCommand:
 
     # per-node DP slice sizes of two fixed polls, in count mode (`scores`),
     # margin mode (`necessary`) and front mode (`possible`), where a row
-    # counts (key, vector) pairs: L leaf, I insert, F forget, J join
+    # counts (key, vector) pairs: L leaf, I insert, F forget, J join. The
+    # two decision sweeps also prune by the outside-agent bound.
     KINDS = {"L": "leaf", "I": "insert", "F": "forget", "J": "join"}
 
     @pytest.mark.parametrize("poll, question, kinds, entries", [
         ("INST", "scores", "LILIFIFIJIFFIFF",
          (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 40, 21, 20, 14, 10)),
         ("INST", "necessary", "LILIFIFIJIFFIFF",
-         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 35, 12, 12, 4, 1)),
+         (3, 6, 3, 6, 6, 20, 6, 20, 24, 52, 32, 12, 6, 3, 1)),
         ("STAR", "scores", "LILILFIFIFIIJJFIFF",
          (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
         ("STAR", "necessary", "LILILFIFIFIIJJFIFF",
-         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 3, 1)),
+         (2, 4, 2, 4, 1, 1, 2, 4, 6, 4, 3, 4, 4, 4, 3, 4, 2, 1)),
         ("INST", "possible", "LILIFIFIJIFFIFF",
-         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 39, 18, 14, 6, 1)),
+         (3, 6, 3, 6, 6, 22, 6, 22, 16, 20, 13, 4, 6, 2, 1)),
         ("STAR", "possible", "LILILFIFIFIIJJFIFF",
-         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 3, 1)),
+         (2, 4, 2, 4, 1, 1, 2, 4, 6, 4, 6, 4, 8, 8, 6, 8, 2, 1)),
     ])
     def test_dump_table_rows(self, capsys, tmp_path, poll, question, kinds, entries):
         path = save(tmp_path, getattr(test_dpsolver.TestSweepCheckIsLive, poll))

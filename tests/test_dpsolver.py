@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nice_td_of, small_instances
+from conftest import nice_td_of, small_instances, with_backer
 from socialpolls import dpsolver
 from socialpolls.dpsolver import (
     achievable_scores_dp,
@@ -165,14 +165,40 @@ class TestMarginSweep:
         )
 
     def test_necessary_runs_one_sweep(self):
-        inst = gen_random(11, 6, 4, edge_prob=0.4, max_weight=9)
-        # an isolated agent backing "c1" outweighs everyone else
-        backer = AgentPrefs("c1", ["c1", "c2"], inst.total_weight() + 1)
-        padded = Instance(inst.candidates, inst.agents + (backer,), inst.edges, "c1")
+        padded = with_backer(gen_random(11, 6, 4, edge_prob=0.4, max_weight=9), "c1")
         ntd = nice_td_of(padded)
         trace = []
         assert necessary_winner_dp(padded, ntd, "c1", trace=trace) == (True, None)
+        # the bound empties every slice, and the sweep still visits every node
         assert len(trace) == len(ntd.nodes)
+        assert all(entries == 0 for _, _, entries in trace)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decisions_match_bf_with_and_without_a_heavy_backer(self, seed):
+        # the bounded sweeps against brute force, on polls where the
+        # bound rarely bites and on the same polls padded so that it
+        # empties the backed candidate's necessary sweep and every other
+        # candidate's possible sweep
+        rng = random.Random(seed)
+        for _ in range(8):
+            inst = gen_random(rng.randrange(10**6), rng.randint(2, 7), rng.randint(2, 4),
+                              edge_prob=0.35, max_weight=rng.choice((1, 5)))
+            backed = rng.choice(inst.candidates)
+            for poll in (inst, with_backer(inst, backed)):
+                ntd = nice_td_of(poll)
+                for c in poll.candidates:
+                    bf = margins_bf(poll, c)
+                    first = next((d for d, margin in bf.items() if margin > 0), None)
+                    stats = {}
+                    assert necessary_winner_dp(poll, ntd, c, stats=stats) == (first is None,
+                                                                              first)
+                    if poll is not inst and c == backed:
+                        assert stats["entries"] == 0
+                    stats = {}
+                    assert possible_winner_dp(poll, ntd, c, stats=stats) == \
+                        possible_winner_bf(poll, c)[0]
+                    if poll is not inst and c != backed:
+                        assert stats["entries"] == 0
 
     def test_single_candidate_runs_no_sweep(self):
         single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
@@ -223,9 +249,10 @@ class TestPossibleFront:
     @given(st.integers(0, 2_000), st.integers(1, 6), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
     def test_front_is_the_minimum_of_the_count_sweep(self, seed, n, m):
-        # node by node: the same nodes and keys as the count sweep, each
-        # key's front the minimal margin vectors of its count vectors, so
-        # never more entries
+        # node by node: the same nodes as the count sweep, and the keys
+        # of its count vectors whose margin vectors pass the node's
+        # outside-agent bound, each key's front the minimal such vectors,
+        # so never more entries
         inst = gen_random(seed, n, m, edge_prob=0.4)
         ntd = nice_td_of(inst)
         count_trace = []
@@ -240,10 +267,14 @@ class TestPossibleFront:
             assert [t[:2] for t in trace] == [t[:2] for t in count_trace]
             assert all(t[2] <= u[2] for t, u in zip(trace, count_trace))
             assert len(calls) == len(count_calls)
-            for (_, _, fronts, _), (_, _, slices, _) in zip(calls, count_calls):
-                mapped = {key: {tuple(q - counts[ci] for d, q in enumerate(counts) if d != ci)
-                                for counts in vectors}
-                          for key, vectors in slices}
+            for (_, rec, fronts, _), (_, _, slices, _) in zip(calls, count_calls):
+                mapped = {}
+                for key, vectors in slices:
+                    kept = {p for p in (tuple(q - counts[ci] for d, q in enumerate(counts)
+                                              if d != ci) for counts in vectors)
+                            if all(map(le, p, rec.neg))}
+                    if kept:
+                        mapped[key] = kept
                 assert len(fronts) == len(mapped)
                 for key, front in fronts:
                     assert len(set(front)) == len(front)
@@ -421,13 +452,17 @@ def can_still_vote(top, alts, vote, s, a, r):
     return False
 
 
-def reference_keys_compatible(tables, bag, items, counted, unseen):
+def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
     """The table-key checker as it stood over nested keys (v, D, s, a),
     with one `s` row and one `a` value per bag agent, checking every
     condition on every key, plus the voting-rule bound of each agent
-    whose `unseen` count is not None. When `counted` each payload is a
-    container of count vectors, which must not be empty, and every
-    vector is checked. Kept as the reference for the flat checker."""
+    whose `unseen` count is not None. A "count" payload is a container
+    of count vectors, which must not be empty, and every vector is
+    checked; a "front" payload is a non-empty list of margin vectors. With
+    `neg`, the outside-agent bound: some rival of a "margin" payload
+    must still be able to lead (a coordinate above `neg`), and every
+    front vector must still be able to end <= 0 (no coordinate above
+    `neg`). Kept as the reference for the flat checker."""
     prefs, top, alts, friends = tables
     bagset = frozenset(bag)
     pos = {y: k for k, y in enumerate(bag)}
@@ -466,7 +501,7 @@ def reference_keys_compatible(tables, bag, items, counted, unseen):
             if unseen[k] is not None and not can_still_vote(
                     top[x], alts[x], v[k], s[k], a[k], unseen[k]):
                 return False
-        if counted:
+        if kind == "count":
             if not payload:
                 return False
             for counts in payload:
@@ -474,6 +509,13 @@ def reference_keys_compatible(tables, bag, items, counted, unseen):
                     return False
                 if any(q < v.count(c) for c, q in enumerate(counts)):
                     return False
+        elif kind == "front":
+            if not payload:
+                return False
+            if neg is not None and any(q > b for p in payload for q, b in zip(p, neg)):
+                return False
+        elif neg is not None and not any(q > b for q, b in zip(payload, neg)):
+            return False
     return True
 
 
@@ -490,15 +532,15 @@ def nested_item(rec, item):
 
 
 def captured_checks(monkeypatch, run):
-    """Every (tables, bag record, items, counted) call the sweeps in
-    `run` make to the key checker, with the items listed."""
+    """Every (tables, bag record, items, kind) call the sweeps in `run`
+    make to the key checker, with the items listed."""
     calls = []
     real = dpsolver._keys_compatible
 
-    def spy(tables, rec, items, counted):
+    def spy(tables, rec, items, kind):
         items = list(items)
-        calls.append((tables, rec, items, counted))
-        return real(tables, rec, items, counted)
+        calls.append((tables, rec, items, kind))
+        return real(tables, rec, items, kind)
 
     with monkeypatch.context() as mp:
         mp.setattr(dpsolver, "_keys_compatible", spy)
@@ -506,13 +548,15 @@ def captured_checks(monkeypatch, run):
     return calls
 
 
-def mutants(rng, tables, rec, item, counted, n_candidates):
+def mutants(rng, tables, rec, item, kind, n_candidates):
     """One-field mutations of a flat item: a vote, an `s` field, an `s`
     field pushed just past the voting-rule bound, an `a` field, one field
     too many, an arc dropped or flipped; in count mode also one count
     vector of the container with a field moved by one or pushed just
     below the bag's own votes, the others kept (see `bad_counts`), and
-    the empty container."""
+    the empty container; in a bounded margin sweep the payload `neg`
+    itself, <= `neg` everywhere; in front mode the empty front and, when
+    bounded, one more vector just above `neg` in one coordinate."""
     top, alts = tables[1], tables[2]
     (v, dag, c), payload = item
     bag, off, unseen = rec.bag, rec.off, rec.unseen
@@ -538,13 +582,25 @@ def mutants(rng, tables, rec, item, counted, n_candidates):
         u, w = rng.choice(sorted(dag))
         out.append(((v, dag - {(u, w)}, c), payload))
         out.append(((v, (dag - {(u, w)}) | {(w, u)}, c), payload))
-    if counted:
+    if kind == "count":
         counts = rng.choice(sorted(payload))
         j = rng.randrange(len(counts))
         moved = counts[:j] + (counts[j] + rng.choice((-1, 1)),) + counts[j + 1:]
         out.append(((v, dag, c), (payload - {counts}) | {moved}))
         out += [((v, dag, c), bad) for bad in bad_counts(rng, v, payload)]
+    elif kind == "front":
+        out.append(((v, dag, c), []))
+        if rec.neg is not None:
+            out.append(((v, dag, c), payload + [above(rng, rng.choice(payload), rec.neg)]))
+    elif rec.neg is not None:
+        out.append(((v, dag, c), rec.neg))
     return out
+
+
+def above(rng, p, neg):
+    """`p` with one coordinate set just above `neg`."""
+    j = rng.randrange(len(p))
+    return p[:j] + (neg[j] + 1,) + p[j + 1:]
 
 
 def bad_counts(rng, v, payload):
@@ -563,29 +619,32 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     first items of its slice that share its DAG, so that the per-DAG
     and per-(v, D) caches are filled when it arrives (a payload mutant
     then arrives after its own key with the original container)."""
-    for tables, rec, items, counted in calls:
+    for tables, rec, items, kind in calls:
         def agree(flat):
             nested = [nested_item(rec, it) for it in flat]
-            assert dpsolver._keys_compatible(tables, rec, flat, counted) == \
-                reference_keys_compatible(tables, rec.bag, nested, counted,
-                                          rec.unseen), (rec.bag, flat)
+            assert dpsolver._keys_compatible(tables, rec, flat, kind) == \
+                reference_keys_compatible(tables, rec.bag, nested, kind,
+                                          rec.unseen, rec.neg), (rec.bag, flat)
 
         agree(items)
         for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
             dag = items[idx][0][1]
             before = [it for it in items if it[0][1] == dag][:siblings]
-            for mutant in mutants(rng, tables, rec, items[idx], counted, n_candidates):
+            for mutant in mutants(rng, tables, rec, items[idx], kind, n_candidates):
                 agree([mutant])
                 agree(before + [mutant])
 
 
 def sweep_all(inst):
-    """Count sweeps where unweighted, and one margin sweep per candidate."""
+    """Count sweeps where unweighted, and per candidate one margin sweep
+    and the bounded margin and front sweeps of the two decisions."""
     ntd = nice_td_of(inst)
     if inst.is_unweighted():
         achievable_scores_dp(inst, ntd)
     for c in inst.candidates:
         margins_dp(inst, ntd, c)
+        necessary_winner_dp(inst, ntd, c)
+        possible_winner_dp(inst, ntd, c)
 
 
 class TestKeyChecker:
@@ -616,18 +675,44 @@ class TestKeyChecker:
         calls = captured_checks(monkeypatch,
                                 lambda: achievable_scores_dp(inst, nice_td_of(inst)))
         tried = 0
-        for tables, rec, items, counted in calls:
+        for tables, rec, items, kind in calls:
             several = [k for k, (_, counts) in enumerate(items) if len(counts) > 1]
             for idx in rng.sample(several, min(3, len(several))):
                 (v, dag, c), counts = items[idx]
                 for bad in bad_counts(rng, v, counts):
                     corrupt = items[:idx] + [((v, dag, c), bad)] + items[idx + 1:]
-                    assert not dpsolver._keys_compatible(tables, rec, corrupt, counted)
+                    assert not dpsolver._keys_compatible(tables, rec, corrupt, kind)
                     assert not reference_keys_compatible(
-                        tables, rec.bag, [nested_item(rec, it) for it in corrupt], counted,
+                        tables, rec.bag, [nested_item(rec, it) for it in corrupt], kind,
                         rec.unseen)
                 tried += 1
         assert tried >= 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("question", (necessary_winner_dp, possible_winner_dp),
+                             ids=("necessary", "possible"))
+    def test_payloads_past_the_bound_are_rejected(self, monkeypatch, seed, question):
+        # a margin payload <= neg everywhere, or one front vector above
+        # neg in one coordinate next to good ones, fails the key and so
+        # the slice, in both checkers
+        rng = random.Random(seed)
+        inst = gen_random(seed, 6, 3, edge_prob=0.4, max_weight=5)
+        ntd = nice_td_of(inst)
+        calls = captured_checks(monkeypatch, lambda: [question(inst, ntd, c)
+                                                      for c in inst.candidates])
+        tried = 0
+        for tables, rec, items, kind in calls:
+            for idx in rng.sample(range(len(items)), min(2, len(items))):
+                key, payload = items[idx]
+                bad = (rec.neg if kind == "margin"
+                       else payload + [above(rng, rng.choice(payload), rec.neg)])
+                corrupt = items[:idx] + [(key, bad)] + items[idx + 1:]
+                assert not dpsolver._keys_compatible(tables, rec, corrupt, kind)
+                assert not reference_keys_compatible(
+                    tables, rec.bag, [nested_item(rec, it) for it in corrupt], kind,
+                    rec.unseen, rec.neg)
+                tried += 1
+        assert tried >= 10
 
 
 def join_without_overlap(original):
@@ -650,13 +735,17 @@ def places_without_bumps(original):
     return places
 
 
-def unpruned(original, leaves_only=False):
-    """An insert (and so a leaf) or join that prunes nothing: its bag
-    record says that no bag agent's unseen friends are known. With
-    `leaves_only`, only the inserts that fill a one-agent leaf."""
+def unpruned(original, leaves_only=False, bound=False):
+    """An insert (and so a leaf) or join that prunes nothing by the
+    voting rule: its bag record says that no bag agent's unseen friends
+    are known. With `bound` it drops the outside-agent bound too, and
+    with `leaves_only` it changes only the inserts that fill a one-agent
+    leaf."""
     def transition(self, rec, *args):
         if not leaves_only or args[0] is dpsolver._EMPTY_BAG:
             rec = rec._replace(unseen=(None,) * len(rec.bag))
+            if bound:
+                rec = rec._replace(neg=None)
         return original(self, rec, *args)
     return transition
 
@@ -700,10 +789,13 @@ def forget_with_rule(original):
     return forget
 
 
+# possible asks about "b": for "a" the outside-agent bound already drops
+# every state that STAR's unpruned join would store
 SWEEPS = {
     "count": lambda inst, ntd: achievable_scores_dp(inst, ntd),
     "margin": lambda inst, ntd: margins_dp(inst, ntd, "a"),
-    "front": lambda inst, ntd: possible_winner_dp(inst, ntd, "a"),
+    "necessary": lambda inst, ntd: necessary_winner_dp(inst, ntd, "a"),
+    "front": lambda inst, ntd: possible_winner_dp(inst, ntd, "b"),
 }
 
 
@@ -771,23 +863,36 @@ class TestSweepCheckIsLive:
             SWEEPS[mode](inst, ntd)
 
 
+def root_answer(engine, root):
+    """What a sweep's root says, as pruning must keep it: every count
+    vector or exact margin vector of an unbounded sweep, and of a
+    bounded sweep the rivals' positive margins (necessary) or the front
+    vectors that are <= 0 everywhere (possible)."""
+    if engine.kind == "count":
+        return sorted(p for counts in root.values() for p in counts)
+    if engine.edge is None:
+        return sorted(root.values())
+    if engine.kind == "margin":
+        return sorted(tuple(max(q, 0) for q in p) for p in root.values() if max(p) > 0)
+    return sorted(p for front in root.values() for p in front if max(p) <= 0)
+
+
 def sweeps_with_reference_checker(inst, ntd, pruned):
-    """Per sweep of `sweep_all`, the trace and the root values, with the
+    """Per sweep of `sweep_all`, the trace and the root answer, with the
     reference checker on every stored slice. Unpruned, the insert (so
     the leaf too) and join prune nothing, the forget applies the voting
-    rule, and the checker skips the voting-rule bound."""
+    rule, and the checker skips the voting-rule and outside-agent
+    bounds."""
     results = []
 
-    def check(tables, rec, items, counted):
-        unseen = rec.unseen if pruned else (None,) * len(rec.bag)
+    def check(tables, rec, items, kind):
+        unseen, neg = (rec.unseen, rec.neg) if pruned else ((None,) * len(rec.bag), None)
         nested = [nested_item(rec, it) for it in items]
-        return reference_keys_compatible(tables, rec.bag, nested, counted, unseen)
+        return reference_keys_compatible(tables, rec.bag, nested, kind, unseen, neg)
 
     def run(self, real=dpsolver._Engine.run):
         root = real(self)
-        values = ([p for counts in root.values() for p in counts] if self.counted
-                  else root.values())
-        results.append((self.trace, sorted(values)))
+        results.append((self.trace, root_answer(self, root)))
         return root
 
     with pytest.MonkeyPatch.context() as mp:
@@ -796,13 +901,15 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
         if not pruned:
             for method in ("_insert", "_join"):
                 mp.setattr(dpsolver._Engine, method,
-                           unpruned(getattr(dpsolver._Engine, method)))
+                           unpruned(getattr(dpsolver._Engine, method), bound=True))
             mp.setattr(dpsolver._Engine, "_forget",
                        forget_with_rule(dpsolver._Engine._forget))
         if inst.is_unweighted():
             achievable_scores_dp(inst, ntd, trace=[])
         for c in inst.candidates:
             margins_dp(inst, ntd, c, trace=[])
+            necessary_winner_dp(inst, ntd, c, trace=[])
+            possible_winner_dp(inst, ntd, c, trace=[])
     return results
 
 
@@ -820,7 +927,7 @@ class TestPruning:
                 assert rec.unseen == tuple(len(friends[x] - seen) for x in nd.bag)
 
     @given(small_instances())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_pruning_shrinks_every_node_and_keeps_the_roots(self, inst):
         ntd = nice_td_of(inst)
         pruned = sweeps_with_reference_checker(inst, ntd, True)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_acyclic_orientations, brute_count_dags
-from socialpolls.dpsolver import achievable_scores_dp, margins_dp
+from conftest import brute_acyclic_orientations, brute_count_dags, with_backer
+from socialpolls.dpsolver import (
+    achievable_scores_dp,
+    margins_dp,
+    necessary_winner_dp,
+    possible_winner_dp,
+)
 from socialpolls.graphkit import (
     Graph,
     NiceNode,
@@ -27,7 +32,7 @@ from socialpolls.graphkit import (
     validate_td,
 )
 from socialpolls.model import PollInputError
-from socialpolls.oracle import achievable_scores_bf, margins_bf
+from socialpolls.oracle import achievable_scores_bf, margins_bf, possible_winner_bf
 from socialpolls.reductions import gen_random
 
 
@@ -294,15 +299,21 @@ def with_empty_bags(td, rng):
 
 def check_nice_with_empty_bags(inst, td):
     """The nice form of `td`, a decomposition of `inst` holding empty
-    bags, is valid, has an empty leaf, and gives both DP programs the
-    brute-force answers."""
+    bags, is valid, has an empty leaf, and gives every DP program the
+    brute-force answers (the count program where unweighted)."""
     validate_td(inst.graph, td)
     ntd = make_nice(td)
     validate_nice(inst.graph, ntd)
     assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
-    assert achievable_scores_dp(inst, ntd) == achievable_scores_bf(inst)
+    if inst.is_unweighted():
+        assert achievable_scores_dp(inst, ntd) == achievable_scores_bf(inst)
     for c in inst.candidates:
-        assert margins_dp(inst, ntd, c) == margins_bf(inst, c)
+        bf = margins_bf(inst, c)
+        assert margins_dp(inst, ntd, c) == bf
+        first = next((d for d, margin in bf.items() if margin > 0), None)
+        assert necessary_winner_dp(inst, ntd, c) == (first is None, first)
+        assert possible_winner_dp(inst, ntd, c) == possible_winner_bf(inst, c)[0]
+    return ntd
 
 
 class TestNiceForm:
@@ -347,6 +358,18 @@ class TestNiceForm:
         rng = random.Random(seed)
         inst = gen_random(seed, rng.randint(2, 5), 3, edge_prob=0.6)
         check_nice_with_empty_bags(inst, with_empty_bags(heuristic_td(inst.graph), rng))
+
+    def test_empty_bags_where_the_bound_empties_the_sweep(self):
+        # an empty leaf's subtree holds no agent, so the outside-agent
+        # bound drops the empty state there when the isolated heavy
+        # backer of "c1" leaves no rival a lead
+        rng = random.Random(5)
+        inst = with_backer(gen_random(5, 4, 3, edge_prob=0.6), "c1")
+        ntd = check_nice_with_empty_bags(inst, with_empty_bags(heuristic_td(inst.graph), rng))
+        trace = []
+        assert necessary_winner_dp(inst, ntd, "c1", trace=trace) == (True, None)
+        assert len(trace) == len(ntd.nodes)
+        assert all(entries == 0 for _, _, entries in trace)
 
     def test_empty_bag_under_bag_zero(self):
         inst = gen_random(3, 4, 2, edge_prob=0.6)
