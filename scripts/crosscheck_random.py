@@ -1,15 +1,15 @@
 """Seeded sweep comparing the decomposition solver against brute force.
 
 Every instance compares the possible-winner decision of every
-candidate. Unweighted instances also compare the full achievable-score
-sets; weighted instances compare every ordered-pair margin, and every
-necessary-winner decision and offending candidate with the first rival
-whose brute-force margin is positive. Each trial then pads its instance
-with one friendless agent that backs a seeded candidate at weight total
-+ 1 and runs the weighted and possible-winner checks on it too: there
-the DP's outside-agent bound empties the backed candidate's necessary
-sweep (YES) and every other candidate's possible sweep (NO). Prints one
-line per mismatch and a summary; exits 1 when any mismatch was found.
+candidate and the full achievable-score sets. Weighted instances also
+compare every ordered-pair margin, and every necessary-winner decision
+and offending candidate with the first rival whose brute-force margin
+is positive. Each trial then pads its instance with one friendless
+agent that backs a seeded candidate at weight total + 1 and runs the
+weighted and possible-winner checks on it too: there the DP's
+outside-agent bound empties the backed candidate's necessary sweep
+(YES) and every other candidate's possible sweep (NO). Prints one line
+per mismatch and a summary; exits 1 when any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -37,7 +37,7 @@ from socialpolls.oracle import (
 from socialpolls.reductions import gen_random
 
 
-def check_unweighted(inst, ntd):
+def check_scores(inst, ntd):
     mism = []
     if achievable_scores_dp(inst, ntd) != achievable_scores_bf(inst):
         mism.append("achievable sets differ")
@@ -112,8 +112,10 @@ def main(argv=None):
             if len(inst.graph.edges) <= args.max_edges:
                 break
         ntd = make_nice(heuristic_td(inst.graph))
-        check = check_weighted if args.weighted else check_unweighted
-        mism = check(inst, ntd) + check_possible(inst, ntd)
+        mism = check_scores(inst, ntd)
+        if args.weighted:
+            mism += check_weighted(inst, ntd)
+        mism += check_possible(inst, ntd)
         backed = backed_rng.choice(inst.candidates)
         padded = with_backer(inst, backed)
         pad_ntd = make_nice(heuristic_td(padded.graph))

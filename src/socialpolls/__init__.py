@@ -18,7 +18,6 @@ from .model import (
     ResourceLimitError,
     ScoreFunction,
     Simulation,
-    UnsupportedModeError,
     choice,
     instance_union,
     orientation_of,
@@ -34,7 +33,6 @@ __all__ = [
     "ResourceLimitError",
     "ScoreFunction",
     "Simulation",
-    "UnsupportedModeError",
     "choice",
     "instance_union",
     "orientation_of",

@@ -6,25 +6,24 @@ everything the nodes above may still observe about the processed
 subtree:
 
 * `v`: the votes of the bag agents, as candidate indexes, in bag order;
-* `D`: a transitively closed DAG on the bag, a frozenset of (earlier,
-  later) agent pairs, whose underlying graph covers the bag's
-  friendship edges. It over-approximates reachability between bag
-  agents in the orientation built so far, which is exactly what join
-  and insert nodes need to rule out directed cycles;
+* `D`: the bag agents as a tuple, in the order in which they vote. A
+  partial poll's voting order restricted to the bag is one such tuple,
+  and the orders of two subtrees that agree on their shared bag always
+  merge into one order, so this is all that joins and inserts need;
 * `c`: one flat int tuple holding, in bag order, each bag agent x's row
   `(s_1, ..., s_k, a)`: `s_j` counts the friends that voted before x
   for `alts[x][j]`, its j-th non-top preferred candidate, and `a` all
-  friends that voted before x. Only arcs between actual friends count
-  here; `D` may relate non-adjacent agents.
+  friends that voted before x.
 
 With flat counters a join adds two keys' counters with one `map`, a
 forget drops one contiguous slice, and an insert splices in the new
-agent's row and bumps its out-friends' fields by deltas precomputed
-once per admissible place. A leaf seeds the empty state `((),
-frozenset(), ())` and inserts its agent, if any, into it. Everything a
-sweep knows about a bag apart from its keys (row offsets, unseen
-friends, degree caps) is built once per sweep, bottom up, as one
-`_BagRecord` per nice node, which the transitions and the checker read.
+agent's row and bumps the fields of its friends voting after it by
+deltas precomputed once per place of the new agent in the child's
+order. A leaf seeds the empty state `((), (), ())` and inserts its
+agent, if any, into it. Everything a sweep knows about a bag apart from
+its keys (row offsets, unseen friends, degree caps) is built once per
+sweep, bottom up, as one `_BagRecord` per nice node, which the
+transitions and the checker read.
 
 Every program's slice maps a key `(v, D, c)` to one payload container,
 and the programs differ only in that container and in three functions
@@ -33,10 +32,10 @@ a container under a key, uniting it with the one already there) and
 combine (every sum of a vector of each side, at a join). The
 transitions visit each key once and touch payloads only through these.
 
-The achievable-scores program additionally tracks the per-candidate
-vote counts of the processed subtree; it requires unit weights, so that
-a count vector is a score function. Its slices map `(v, D, c)` to the
-set of count vectors that states with that key reach. The margin
+The achievable-scores program additionally tracks the weighted
+per-candidate vote counts of the processed subtree, so that a count
+vector is a score function; any weights. Its slices map `(v, D, c)` to
+the set of count vectors that states with that key reach. The margin
 program replaces counts by a payload with one maximized value per rival
 d of a candidate c, the weighted score difference score(d) - score(c),
 so it handles arbitrary weights and any number of candidates; its
@@ -84,60 +83,41 @@ front mode, and once in margin mode.
 
 The key invariant is written once, in `_keys_compatible`, and includes
 both bounds. The sweep asserts it on every stored slice, so `python -O`
-skips it; the public `mutually_compatible` runs it on one key given
-over labels, with r = 0 for agents whose friends all lie in the bag.
+skips it.
 """
 
 from __future__ import annotations
 
-import itertools
 from operator import add, le, sub
 from typing import NamedTuple
 
 from .graphkit import validate_nice
-from .model import (
-    PollInputError,
-    ResourceLimitError,
-    ScoreFunction,
-    UnsupportedModeError,
-)
+from .model import PollInputError, ResourceLimitError, ScoreFunction
 
 DEFAULT_MAX_TABLE = 1 << 24
 _NO_BOUND = float("inf")
 
 
 def _agent_tables(inst):
-    """Per-agent (prefs, top, alts, friends): sorted preferred candidate
-    indexes, the top index, the non-top preferred indexes, friend sets."""
+    """Per-agent (prefs, top, alts, friends, weights): sorted preferred
+    candidate indexes, the top index, the non-top preferred indexes,
+    friend sets, weights."""
     prefs = tuple(row[1] for row in inst.ballots)
     top = tuple(row[0] for row in inst.ballots)
     alts = tuple(tuple(c for c in row if c != t) for row, t in zip(prefs, top))
-    return prefs, top, alts, tuple(frozenset(b) for b in inst.graph.adjacency)
+    return (prefs, top, alts, tuple(frozenset(b) for b in inst.graph.adjacency),
+            tuple(ag.weight for ag in inst.agents))
 
 
-def _in_friends(friends, bag, dag):
-    """Per bag agent, the bag positions of its friends that precede it
-    in `dag`; None unless `dag` is irreflexive, free of two-cycles,
-    transitively closed, inside the bag and orients every friendship
-    edge of the bag."""
-    pos = {y: k for k, y in enumerate(bag)}
-    for u, w in dag:
-        if u == w or u not in pos or w not in pos or (w, u) in dag:
-            return None
-    for u, w in dag:
-        for w2, z in dag:
-            if w2 == w and z != u and (u, z) not in dag:
-                return None
+def _in_friends(friends, bag, order):
+    """Per bag agent, the bag positions of its friends that vote before
+    it in `order`; None unless `order` lists the bag exactly once."""
+    if len(order) != len(bag) or set(order) != set(bag):
+        return None
     ins = []
     for x in bag:
-        row = []
-        for k, y in enumerate(bag):
-            if y in friends[x]:
-                if (y, x) in dag:
-                    row.append(k)
-                elif (x, y) not in dag:
-                    return None
-        ins.append(tuple(row))
+        earlier = friends[x].intersection(order[:order.index(x)])
+        ins.append(tuple(sorted(map(bag.index, earlier))) if earlier else ())
     return ins
 
 
@@ -250,7 +230,7 @@ def _rules(tables, rec, v, positions):
     rule itself. Each bound is (f, i, low, high), for `_live`: the agent
     is alive while low <= 2·c[f] - c[i] <= high, where c[i] is its `a`
     field and c[f] one of its `s` fields."""
-    _, top, alts, _ = tables
+    top, alts = tables[1], tables[2]
     bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = []
     for k in positions:
@@ -278,15 +258,16 @@ def _live(c, rules):
 def _keys_compatible(tables, rec, items, kind):
     """Could each key in `items`, ((v, D, c), payload) pairs over the bag
     of record `rec` in index form, come from a partial poll whose voting
-    rule every bag agent can still meet? `kind` names the payload: a
-    "count" container of count vectors or a "front" list of margin
-    vectors, either of which must hold at least one vector, or one
-    "margin" vector. Count vectors are all checked too. The record's
-    unseen counts give the bound of `_live`, skipped where None, and its
-    `neg`, where not None, the outside-agent bound: a margin vector must
-    exceed it in some coordinate and a front vector must not exceed it
-    in any. The checker reads only that static record, never what a
-    transition computed.
+    rule every bag agent can still meet? `D` must list the bag exactly
+    once. `kind` names the payload: a "count" container of count
+    vectors or a "front" list of margin vectors, either of which must
+    hold at least one vector, or one "margin" vector. Every count vector
+    must hold at least the bag agents' own weighted votes and sum to at
+    most the total weight. The record's unseen counts give the bound of
+    `_live`, skipped where None, and its `neg`, where not None, the
+    outside-agent bound: a margin vector must exceed it in some
+    coordinate and a front vector must not exceed it in any. The checker
+    reads only that static record, never what a transition computed.
 
     The conditions on v alone are checked once per distinct v, and
     those on D alone once per distinct D. The bounds that v and D put
@@ -296,21 +277,21 @@ def _keys_compatible(tables, rec, items, kind):
     the bounds are equalities). The rows of agents whose friends all
     lie in the bag equal the lower bound, so their voting rule is
     checked once per (v, D) too."""
-    prefs, _, alts, friends = tables
-    n = len(prefs)
+    prefs, _, alts, friends, weights = tables
     bag, off, caps, sums, neg = rec.bag, rec.off, rec.caps, rec.sums, rec.neg
     counted = kind == "count"
+    total = sum(weights) if counted else None
     groups = {}  # D -> (in-friend positions, {v: bounds})
     votes = {}  # v -> (count floor, `_live` bounds of inner, of outer agents)
-    for (v, dag, c), payload in items:
+    for (v, order, c), payload in items:
         if kind != "margin" and not payload:
             return False
-        group = groups.get(dag)
+        group = groups.get(order)
         if group is None:
-            ins = _in_friends(friends, bag, dag)
+            ins = _in_friends(friends, bag, order)
             if ins is None:
                 return False
-            group = groups[dag] = (ins, {})
+            group = groups[order] = (ins, {})
         bounds = group[1].get(v)
         if bounds is None:
             by_vote = votes.get(v)
@@ -320,8 +301,8 @@ def _keys_compatible(tables, rec, items, kind):
                 floor = None
                 if counted:
                     floor = [0] * len(next(iter(payload)))
-                    for vk in v:
-                        floor[vk] += 1
+                    for x, vk in zip(bag, v):
+                        floor[vk] += weights[x]
                 by_vote = votes[v] = (floor, _rules(tables, rec, v, rec.inner),
                                       _rules(tables, rec, v, rec.outer))
             floor, inner_rules, rules = by_vote
@@ -342,7 +323,7 @@ def _keys_compatible(tables, rec, items, kind):
             return False
         if counted:
             for counts in payload:
-                if not (all(map(le, floor, counts)) and sum(counts) <= n):
+                if not (all(map(le, floor, counts)) and sum(counts) <= total):
                     return False
         elif neg is not None:
             if kind == "margin":
@@ -372,9 +353,9 @@ class _Engine:
     """Shared sweep for all three programs over `(v, D, c)` keys (see the
     module docstring). A slice maps each key to one payload container
     of int-tuple vectors. Without `rivals` (count mode) a vector is the
-    subtree's vote count per candidate and a container the set of those
-    vectors. With `rivals`, candidate indexes d paired with the index
-    `c`, a vector's coordinate j is a weighted score(rivals[j]) -
+    subtree's weighted vote count per candidate and a container the set
+    of those vectors. With `rivals`, candidate indexes d paired with the
+    index `c`, a vector's coordinate j is a weighted score(rivals[j]) -
     score(c) of a subtree state: in margin mode the container is the
     largest vector, per coordinate, and in front mode (with `front`) the
     list of Pareto-minimal vectors. Only three functions per mode,
@@ -406,23 +387,16 @@ class _Engine:
         self.stats = stats
         m = len(inst.candidates)
         self.tables = _agent_tables(inst)
-        self.prefs, _, self.alts, self.nbr = self.tables
+        self.prefs, _, self.alts, self.nbr, weights = self.tables
         self.altpos = tuple({a: k for k, a in enumerate(alt)} for alt in self.alts)
         # values[x][k]: the vector of agent x voting candidate index k,
-        # one shared row per weight
-        weights = {ag.weight for ag in inst.agents}
-        if self.kind == "count":
-            unit = tuple(tuple(int(j == k) for j in range(m)) for k in range(m))
-            rows = dict.fromkeys(weights, unit)
-            self.zero = (0,) * m
-        else:
-            rows = {
-                w: tuple(tuple(w * ((k == d) - (k == c)) for d in rivals)
-                         for k in range(m))
-                for w in weights
-            }
-            self.zero = (0,) * len(rivals)
-        self.values = tuple(rows[ag.weight] for ag in inst.agents)
+        # one shared row per weight; a count vector has one coordinate per
+        # candidate and no `c`
+        cols = range(m) if rivals is None else rivals
+        rows = {w: tuple(tuple(w * ((k == d) - (k == c)) for d in cols) for k in range(m))
+                for w in set(weights)}
+        self.zero = (0,) * len(cols)
+        self.values = tuple(rows[w] for w in weights)
         # `start`: the container of the empty state, the zero vector alone;
         # plain functions, so that the engine holds no reference to itself
         if self.kind == "count":
@@ -524,7 +498,7 @@ class _Engine:
         recs = _bags(self.ntd, self.alts, self.nbr, self.edge, self.total)
         for i, (nd, rec) in enumerate(zip(self.ntd.nodes, recs)):
             if nd.kind == "leaf":
-                sl = {((), frozenset(), ()): self.start}
+                sl = {((), (), ()): self.start}
                 if nd.bag:
                     sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
                 elif rec.neg is not None and self._cut(self.start, rec.neg) is None:
@@ -587,12 +561,12 @@ class _Engine:
                 grown.append((c, v, grown_payload, rules))
             if not grown:
                 continue
-            # the places of x depend on the child's DAG alone
+            # the places of x depend on the child's order alone
             places = places_of.get(cd)
             if places is None:
                 places = places_of[cd] = self._places(x, crec, cd, px)
             head, tail = cc[:split], cc[split:]
-            for in_pos, bumps, arcs in places:
+            for in_pos, bumps, order in places:
                 votes_in = [cv[k] for k in in_pos]
                 base = (head + tuple(map(votes_in.count, alts_x))
                         + (len(in_pos),) + tail)
@@ -600,51 +574,26 @@ class _Engine:
                     delta = bumps.get(c)
                     new = base if delta is None else tuple(map(add, base, delta))
                     if _live(new, rules):
-                        merge(sl, (v, arcs, new), grown_payload)
+                        merge(sl, (v, order, new), grown_payload)
         return sl
 
     def _places(self, x, crec, cd, px):
-        """Each admissible place of x relative to the child's DAG `cd`:
-        (child positions of the friends before x, {vote of x: the delta
-        that the friends after x receive, over the parent's flat
-        counters}, the new DAG). `crec` is the child's bag record and
+        """Each place of x in the child's order `cd`: (child positions of
+        the friends voting before x, {vote of x: the delta that the
+        friends voting after x receive, over the parent's flat
+        counters}, the new order). `crec` is the child's bag record and
         `px` is x's position in the parent's bag."""
         cbag, coff = crec.bag, crec.off
         nbrx = self.nbr[x]
         wx = len(self.alts[x]) + 1
         width = coff[-1] + wx
-        # per bag vertex: the admissible arc states toward x
-        options = [((1, 2) if y in nbrx else (0, 1, 2)) for y in cbag]
-        preds, succs = {}, {}
-        for u, w in cd:
-            preds.setdefault(w, set()).add(u)
-            succs.setdefault(u, set()).add(w)
         places = []
-        for states in itertools.product(*options):
-            ins, outs = set(), set()
-            for y, st in zip(cbag, states):
-                if st == 1:
-                    ins.add(y)
-                elif st == 2:
-                    outs.add(y)
-            if not (ins or outs):
-                # x unrelated to every bag agent: the child's DAG as it is
-                places.append(((), {}, cd))
-                continue
-            # closure: ancestors of in-arcs point at x too, successors
-            # of out-arcs are reached from x, and every in/out pair is
-            # already related (which also keeps D acyclic)
-            if any(y in preds and not preds[y] <= ins for y in ins):
-                continue
-            if any(y in succs and not succs[y] <= outs for y in outs):
-                continue
-            if any((i2, o2) not in cd for i2 in ins for o2 in outs):
-                continue
-            arcs = cd.union([(y, x) for y in ins], [(x, y) for y in outs])
+        for cut in range(len(cd) + 1):
+            ahead = cd[:cut]
             # each friend after x counts x once in `a`, and in the `s`
             # field of x's vote when that is one of its alternatives
             followers = [(coff[k] + (wx if k >= px else 0), y)
-                         for k, y in enumerate(cbag) if y in outs and y in nbrx]
+                         for k, y in enumerate(cbag) if y in nbrx and y not in ahead]
             bumps = {}
             for c in self.prefs[x] if followers else ():
                 delta = [0] * width
@@ -655,9 +604,9 @@ class _Engine:
                     delta[start + len(self.alts[y])] += 1
                 bumps[c] = tuple(delta)
             places.append((
-                tuple(k for k, y in enumerate(cbag) if y in ins and y in nbrx),
+                tuple(k for k, y in enumerate(cbag) if y in nbrx and y in ahead),
                 bumps,
-                arcs,
+                ahead + (x,) + cd[cut:],
             ))
         return places
 
@@ -665,17 +614,18 @@ class _Engine:
         """Agent x leaves the child's bag (record `crec`)."""
         px = crec.bag.index(x)
         start, stop = crec.off[px], crec.off[px + 1]
-        dags = {}
+        orders = {}
         sl = {}
         # every friend of x is seen below, so the child holds only states
         # in which x meets the voting rule
         merge = self._merge
         for (cv, cd, cc), payload in child.items():
-            # reduce each distinct child DAG once; its entries share the result
-            arcs = dags.get(cd)
-            if arcs is None:
-                arcs = dags[cd] = frozenset((u, w) for u, w in cd if x not in (u, w))
-            merge(sl, (cv[:px] + cv[px + 1:], arcs, cc[:start] + cc[stop:]), payload)
+            # drop x from each distinct child order once; its entries share
+            # the result
+            order = orders.get(cd)
+            if order is None:
+                order = orders[cd] = tuple(y for y in cd if y != x)
+            merge(sl, (cv[:px] + cv[px + 1:], order, cc[:start] + cc[stop:]), payload)
         return sl
 
     def _join(self, rec, left, right):
@@ -730,88 +680,9 @@ class _Engine:
         return sl
 
 
-def mutually_compatible(votes, dag, counts, influence, anterior, inst, bag):
-    """Could these table-key components all come from one partial poll?
-
-    `bag` lists the agents under consideration; `votes` maps each of
-    them to a candidate label, `dag` is an iterable of (earlier, later)
-    agent pairs over the bag, `influence` maps each bag agent to a
-    mapping {candidate: votes already cast for it by friends} over its
-    non-top preferred candidates, `anterior` maps each bag agent to the
-    total number of friends that voted before it, and `counts` maps
-    candidate labels to subtree vote counts (pass None for the margin
-    variant, which stores no counts).
-
-    The checks: votes are preferred; the dag is irreflexive, has no
-    two-cycles, is transitively closed and orients every friendship
-    edge inside the bag; influence rows are non-negative and sum to at
-    most the anterior total; each anterior total lies between the
-    agent's in-friends under the dag and its degree; agents whose whole
-    neighborhood lies inside the bag get equalities instead of bounds
-    and must satisfy the voting rule; counts are non-negative, dominate
-    the bag's own votes and total at most the number of agents.
-
-    Domain mismatches (keys that disagree with `bag`, unknown agents or
-    candidate labels, arcs leaving the bag) raise; everything else is a
-    boolean verdict.
-    """
-    bag = tuple(bag)
-    bagset = set(bag)
-    if len(bagset) != len(bag):
-        raise PollInputError("bag repeats an agent")
-    for x in bag:
-        if not isinstance(x, int) or not 0 <= x < inst.n_agents:
-            raise PollInputError("unknown agent %r in bag" % (x,))
-    for mapping, what in ((votes, "votes"), (influence, "influence"),
-                          (anterior, "anterior")):
-        if set(mapping) != bagset:
-            raise PollInputError("%s keys must match the bag exactly" % what)
-    arcs = set()
-    for u, w in dag:
-        if u not in bagset or w not in bagset:
-            raise PollInputError("dag arc (%r, %r) leaves the bag" % (u, w))
-        arcs.add((u, w))
-    known = inst.candidate_index
-    for x in bag:
-        if votes[x] not in known:
-            raise PollInputError("unknown candidate %r" % (votes[x],))
-        for c in influence[x]:
-            if c not in known:
-                raise PollInputError("unknown candidate %r" % (c,))
-    if counts is not None:
-        if isinstance(counts, ScoreFunction):
-            counts = counts.as_dict()
-        for c in counts:
-            if c not in known:
-                raise PollInputError("unknown candidate %r" % (c,))
-
-    tables = _agent_tables(inst)
-    alts, friends = tables[2], tables[3]
-    v = tuple(known[votes[x]] for x in bag)
-    rows = []
-    for x in bag:
-        labels = [inst.candidates[c] for c in alts[x]]
-        if not set(influence[x]) <= set(labels):
-            return False
-        rows.append(tuple(influence[x].get(c, 0) for c in labels))
-    ante = tuple(anterior[x] for x in bag)
-    flat = tuple(itertools.chain.from_iterable(r + (a,) for r, a in zip(rows, ante)))
-    key = (v, frozenset(arcs), flat)
-    cvecs = None if counts is None else {tuple(counts.get(c, 0) for c in inst.candidates)}
-    # the voting rule binds agents whose whole neighborhood is in the bag;
-    # how many friends of the others are still unseen is not known
-    unseen = tuple(0 if friends[x] <= bagset else None for x in bag)
-    return _keys_compatible(tables, _bag_record(alts, friends, bag, unseen), [(key, cvecs)],
-                            "margin" if counts is None else "count")
-
-
 def achievable_scores_dp(inst, ntd, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
     """All score functions some voting order can produce, computed over
-    a nice tree decomposition. Requires unit weights."""
-    if not inst.is_unweighted():
-        raise UnsupportedModeError(
-            "the achievable-scores program requires an unweighted instance"
-        )
+    a nice tree decomposition. Any weights."""
     validate_nice(inst.graph, ntd)
     root = _Engine(inst, ntd, max_table=max_table, trace=trace, stats=stats).run()
     return frozenset(ScoreFunction(inst.candidates, p) for counts in root.values() for p in counts)

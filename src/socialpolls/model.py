@@ -47,10 +47,6 @@ class ResourceLimitError(RuntimeError):
     """An enumeration or table guard would be exceeded."""
 
 
-class UnsupportedModeError(PollInputError):
-    """The requested solver does not support this instance mode."""
-
-
 _LABEL_FORBIDDEN = set(" \t\r\n,=")
 
 

@@ -322,17 +322,6 @@ def witness_order_hitting(h, params, hitting):
     return tuple(order)
 
 
-def gen_unw_necessary_check(h, params=None):
-    """Necessary-winner query on the hitting-set instance.
-
-    Returns the instance of gen_hitting_set_upw unchanged together with
-    the query candidate b. Candidate b is a necessary winner exactly
-    when no hitting set within the budget exists; c never matters, its
-    score is capped at 4 * n_elements.
-    """
-    return gen_hitting_set_upw(h, params), "b"
-
-
 def _normalize_cnf(f):
     """Drop duplicate literals and tautological clauses; reject empty ones."""
     clauses = []

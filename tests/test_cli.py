@@ -363,6 +363,17 @@ class TestScoresCommand:
         assert code == 0
         assert "method: bf" in out
 
+    @pytest.mark.parametrize("method", ["auto", "dp"])
+    def test_cross_check_agrees_on_weights(self, capsys, tmp_path, method):
+        path = save(tmp_path, p3_gadget())
+        code, out, err = run(
+            capsys, "scores", "--instance", path, "--method", method, "--cross-check",
+        )
+        assert code == 0
+        assert "cross-check: ok" in out
+        assert "count: 2" in out
+        assert "set 2: a=1 b=5 c=1" in out
+
     def test_dump_table(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())
         code, out, err = run(
@@ -372,11 +383,20 @@ class TestScoresCommand:
         assert code == 0
         assert "node 0 type leaf entries" in out
 
-    # per-node DP slice sizes of two fixed polls, in count mode (`scores`),
-    # margin mode (`necessary`) and front mode (`possible`), where a row
-    # counts (key, vector) pairs: L leaf, I insert, F forget, J join. The
-    # two decision sweeps also prune by the outside-agent bound.
+    # per-node DP slice sizes of three fixed polls, in count mode
+    # (`scores`), margin mode (`necessary`) and front mode (`possible`),
+    # where a row counts (key, vector) pairs: L leaf, I insert, F forget,
+    # J join. The two decision sweeps also prune by the outside-agent
+    # bound. The 4-cycle's bag (1, 2, 3) holds the non-friends 1 and 3,
+    # whose states are stored once per order of the bag, not again under
+    # every partial order that leaves them unrelated.
     KINDS = {"L": "leaf", "I": "insert", "F": "forget", "J": "join"}
+    POLLS = {
+        "INST": test_dpsolver.TestSweepCheckIsLive.INST,
+        "STAR": test_dpsolver.TestSweepCheckIsLive.STAR,
+        "CYCLE": Instance(("a", "b", "c"), tuple(AgentPrefs(t, ["a", "b", "c"]) for t in "abca"),
+                          ((0, 1), (1, 2), (2, 3), (0, 3)), "a"),
+    }
 
     @pytest.mark.parametrize("poll, question, kinds, entries", [
         ("INST", "scores", "LILIFIFIJIFFIFF",
@@ -391,9 +411,12 @@ class TestScoresCommand:
          (3, 6, 3, 6, 6, 22, 6, 22, 16, 20, 13, 4, 6, 2, 1)),
         ("STAR", "possible", "LILILFIFIFIIJJFIFF",
          (2, 4, 2, 4, 1, 1, 2, 4, 6, 4, 6, 4, 8, 8, 6, 8, 2, 1)),
+        ("CYCLE", "scores", "LIIFIFFF", (3, 10, 36, 36, 18, 16, 9, 4)),
+        ("CYCLE", "necessary", "LIIFIFFF", (3, 8, 31, 31, 7, 6, 4, 1)),
+        ("CYCLE", "possible", "LIIFIFFF", (3, 10, 19, 19, 11, 10, 4, 1)),
     ])
     def test_dump_table_rows(self, capsys, tmp_path, poll, question, kinds, entries):
-        path = save(tmp_path, getattr(test_dpsolver.TestSweepCheckIsLive, poll))
+        path = save(tmp_path, self.POLLS[poll])
         extra = ("--candidate", "a") if question != "scores" else ()
         code, out, err = run(
             capsys, question, "--instance", path, *extra,

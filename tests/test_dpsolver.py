@@ -1,5 +1,7 @@
 """Tree-decomposition dynamic programs against the brute-force oracle."""
 
+import itertools
+import math
 import random
 from operator import add, le
 
@@ -12,13 +14,11 @@ from socialpolls import dpsolver
 from socialpolls.dpsolver import (
     achievable_scores_dp,
     margins_dp,
-    mutually_compatible,
     necessary_winner_dp,
     possible_winner_dp,
 )
 from socialpolls.graphkit import (
     TreeDecomposition,
-    count_labeled_dags,
     exact_td_small,
     graph_of,
     heuristic_td,
@@ -29,7 +29,6 @@ from socialpolls.model import (
     Instance,
     PollInputError,
     ResourceLimitError,
-    UnsupportedModeError,
     instance_union,
 )
 from socialpolls.oracle import (
@@ -85,11 +84,6 @@ class TestFrozenCases:
         with pytest.raises(PollInputError):
             margins_dp(inst, ntd, "z")
 
-    def test_weighted_counts_refused(self):
-        inst = p3_gadget()
-        with pytest.raises(UnsupportedModeError):
-            achievable_scores_dp(inst, nice_td_of(inst))
-
     def test_table_guard(self):
         inst = gen_random(7, 8, 2, edge_prob=0.5)
         with pytest.raises(ResourceLimitError, match="table guard"):
@@ -104,6 +98,17 @@ class TestOracleEquivalence:
     def test_achievable_scores(self, seed, n):
         inst = gen_random(seed, n, 3, edge_prob=0.4)
         assert achievable_scores_dp(inst, nice_td_of(inst)) == achievable_scores_bf(inst)
+
+    def test_achievable_scores_weighted(self):
+        # a weighted count vector is a score function too
+        rng = random.Random(5)
+        polls = [p3_gadget()] + [
+            gen_random(rng.randrange(10**6), rng.randint(2, 6), rng.randint(2, 3),
+                       edge_prob=0.4, max_weight=rng.choice((3, 9)))
+            for _ in range(40)]
+        assert sum(not inst.is_unweighted() for inst in polls) >= 35
+        for inst in polls:
+            assert achievable_scores_dp(inst, nice_td_of(inst)) == achievable_scores_bf(inst)
 
     @given(st.integers(0, 2_000), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -209,16 +214,14 @@ class TestMarginSweep:
 
 
 def check_possible_against_bf(inst):
-    """possible_winner_dp against brute force for every candidate and,
-    on unit weights, against the count sweep: c co-wins some achievable
-    score function."""
+    """possible_winner_dp against brute force for every candidate and
+    against the count sweep: c co-wins some achievable score function."""
     ntd = nice_td_of(inst)
-    sets = achievable_scores_dp(inst, ntd) if inst.is_unweighted() else None
+    sets = achievable_scores_dp(inst, ntd)
     for ci, c in enumerate(inst.candidates):
         dp = possible_winner_dp(inst, ntd, c)
         assert dp == possible_winner_bf(inst, c)[0], c
-        if sets is not None:
-            assert dp == any(sf.values[ci] == max(sf.values) for sf in sets), c
+        assert dp == any(sf.values[ci] == max(sf.values) for sf in sets), c
 
 
 def unit_weights(inst):
@@ -303,7 +306,7 @@ def soft_bound(inst, ntd):
     k = len(inst.candidates)
     return (
         k ** t
-        * count_labeled_dags(t + 1)
+        * math.factorial(t + 1)
         * n ** k
         * n ** ((t + 1) * (k - 1))
         * n ** (t + 1)
@@ -331,7 +334,25 @@ class TestTableShape:
         assert stats["entries"] > 0
 
 
+def one_key(inst, bag, v, order, rows, counts=None):
+    """The key checker on one key over `bag`, in index form: votes `v`,
+    voting order `order`, one (s_1, ..., s_k, a) counter row per bag
+    agent, and one count vector, or None for a margin key. Agents whose
+    friends all lie in the bag get r = 0, the others no voting-rule
+    bound."""
+    tables = dpsolver._agent_tables(inst)
+    alts, friends = tables[2], tables[3]
+    unseen = tuple(0 if friends[x] <= set(bag) else None for x in bag)
+    rec = dpsolver._bag_record(alts, friends, bag, unseen)
+    key = (v, order, tuple(f for row in rows for f in row))
+    if counts is None:
+        return dpsolver._keys_compatible(tables, rec, [(key, (0,))], "margin")
+    return dpsolver._keys_compatible(tables, rec, [(key, {counts})], "count")
+
+
 class TestMutuallyCompatible:
+    # are a key's components mutually compatible? Candidates are
+    # indexes: in both polls a = 0 and b = 1
     def setup_method(self):
         self.single = Instance(
             ("a", "b"), (AgentPrefs("a", ["a", "b"]),), (), "a"
@@ -339,58 +360,30 @@ class TestMutuallyCompatible:
         self.edge = two_agent_edge()
 
     def test_empty_bag(self):
-        assert mutually_compatible({}, (), {}, {}, {}, self.single, ())
+        assert one_key(self.single, (), (), (), (), (0, 0))
 
     def test_isolated_agent_voting_top(self):
-        assert mutually_compatible(
-            {0: "a"}, (), {"a": 1}, {0: {}}, {0: 0}, self.single, (0,)
-        )
+        assert one_key(self.single, (0,), (0,), (0,), ((0, 0),), (1, 0))
 
     def test_anterior_above_degree(self):
         # one claimed prior friend on a friendless agent
-        assert not mutually_compatible(
-            {0: "a"}, (), {"a": 1}, {0: {}}, {0: 1}, self.single, (0,)
-        )
+        assert not one_key(self.single, (0,), (0,), (0,), ((0, 1),), (1, 0))
 
     def test_margin_variant_without_counts(self):
-        assert mutually_compatible(
-            {0: "a"}, (), None, {0: {}}, {0: 0}, self.single, (0,)
-        )
+        assert one_key(self.single, (0,), (0,), (0,), ((0, 0),))
 
     def test_oriented_edge_with_follower(self):
-        ok = mutually_compatible(
-            {0: "a", 1: "a"},
-            ((0, 1),),
-            {"a": 2},
-            {0: {"b": 0}, 1: {"a": 1}},
-            {0: 0, 1: 1},
-            self.edge,
-            (0, 1),
-        )
-        assert ok
+        # agent 1 votes after agent 0 and copies its vote for a
+        assert one_key(self.edge, (0, 1), (0, 0), (0, 1), ((0, 0), (1, 1)), (2, 0))
 
     def test_voting_rule_enforced_when_fully_seen(self):
         # agent 1 claims a non-top vote without a strict majority
-        assert not mutually_compatible(
-            {0: "b", 1: "a"},
-            ((0, 1),),
-            {"a": 1, "b": 1},
-            {0: {"b": 0}, 1: {"a": 0}},
-            {0: 0, 1: 1},
-            self.edge,
-            (0, 1),
-        )
+        assert not one_key(self.edge, (0, 1), (1, 0), (0, 1), ((0, 0), (0, 1)), (1, 1))
 
     def test_unoriented_friendship_edge(self):
-        assert not mutually_compatible(
-            {0: "a", 1: "b"},
-            (),
-            {"a": 1, "b": 1},
-            {0: {"b": 0}, 1: {"a": 0}},
-            {0: 0, 1: 0},
-            self.edge,
-            (0, 1),
-        )
+        # an order that leaves an agent out orients none of its edges
+        for order in ((0,), (1,), ()):
+            assert not one_key(self.edge, (0, 1), (0, 1), order, ((0, 0), (0, 0)), (1, 1))
 
     def test_two_cycle_and_closure(self):
         tri = Instance(
@@ -399,43 +392,25 @@ class TestMutuallyCompatible:
             ((0, 1), (1, 2), (0, 2)),
             "a",
         )
-        votes = {0: "a", 1: "a", 2: "a"}
-        infl = {x: {"b": 0} for x in range(3)}
-        ant = {0: 0, 1: 1, 2: 2}
-        closed = ((0, 1), (1, 2), (0, 2))
-        assert mutually_compatible(votes, closed, None, infl, ant, tri, (0, 1, 2))
-        not_closed = ((0, 1), (1, 2), (2, 0))
-        assert not mutually_compatible(
-            votes, not_closed, None, infl, {0: 1, 1: 1, 2: 1}, tri, (0, 1, 2)
-        )
-        two_cycle = ((0, 1), (1, 0), (1, 2), (0, 2))
-        assert not mutually_compatible(
-            votes, two_cycle, None, infl, ant, tri, (0, 1, 2)
-        )
+        bag, votes = (0, 1, 2), (0, 0, 0)
+        assert one_key(tri, bag, votes, (0, 1, 2), ((0, 0), (0, 1), (0, 2)))
+        assert one_key(tri, bag, votes, (2, 0, 1), ((0, 1), (0, 2), (0, 0)))
+        # the cycle 0 -> 1 -> 2 -> 0, one earlier friend each, fits no order
+        for order in itertools.permutations(bag):
+            assert not one_key(tri, bag, votes, order, ((0, 1), (0, 1), (0, 1)))
+        # an order that repeats an agent, as a two-cycle would, or lists
+        # one outside the bag
+        for order in ((0, 1, 0), (0, 1, 0, 2), (0, 1, 2, 0), (0, 1, 3)):
+            assert not one_key(tri, bag, votes, order, ((0, 0), (0, 1), (0, 2)))
 
     def test_counts_must_cover_bag_votes(self):
-        assert not mutually_compatible(
-            {0: "a"}, (), {"a": 0}, {0: {}}, {0: 0}, self.single, (0,)
-        )
-        assert not mutually_compatible(
-            {0: "a"}, (), {"a": 1, "b": 5}, {0: {}}, {0: 0}, self.single, (0,)
-        )
-
-    def test_domain_mismatches_raise(self):
-        with pytest.raises(PollInputError):
-            mutually_compatible({}, (), {}, {}, {}, self.single, (0, 0))
-        with pytest.raises(PollInputError):
-            mutually_compatible({1: "a"}, (), {}, {1: {}}, {1: 0}, self.single, (1,))
-        with pytest.raises(PollInputError):
-            mutually_compatible({0: "a"}, (), {}, {}, {0: 0}, self.single, (0,))
-        with pytest.raises(PollInputError):
-            mutually_compatible(
-                {0: "a"}, ((0, 3),), {}, {0: {}}, {0: 0}, self.single, (0,)
-            )
-        with pytest.raises(PollInputError):
-            mutually_compatible(
-                {0: "a"}, (), {"z": 1}, {0: {}}, {0: 0}, self.single, (0,)
-            )
+        assert not one_key(self.single, (0,), (0,), (0,), ((0, 0),), (0, 0))
+        assert not one_key(self.single, (0,), (0,), (0,), ((0, 0),), (1, 5))
+        # weighted: the agent's own weight, and at most the total weight
+        heavy = Instance(("a", "b"), (AgentPrefs("a", ["a", "b"], 3),), (), "a")
+        assert one_key(heavy, (0,), (0,), (0,), ((0, 0),), (3, 0))
+        assert not one_key(heavy, (0,), (0,), (0,), ((0, 0),), (1, 0))
+        assert not one_key(heavy, (0,), (0,), (0,), ((0, 0),), (3, 1))
 
 
 def can_still_vote(top, alts, vote, s, a, r):
@@ -454,30 +429,25 @@ def can_still_vote(top, alts, vote, s, a, r):
 
 def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
     """The table-key checker as it stood over nested keys (v, D, s, a),
-    with one `s` row and one `a` value per bag agent, checking every
-    condition on every key, plus the voting-rule bound of each agent
-    whose `unseen` count is not None. A "count" payload is a container
-    of count vectors, which must not be empty, and every vector is
-    checked; a "front" payload is a non-empty list of margin vectors. With
+    with one `s` row and one `a` value per bag agent and `D` the bag in
+    voting order, checking every condition on every key, plus the
+    voting-rule bound of each agent whose `unseen` count is not None. A
+    "count" payload is a container of weighted count vectors, which must
+    not be empty, and every vector is checked; a "front" payload is a
+    non-empty list of margin vectors. With
     `neg`, the outside-agent bound: some rival of a "margin" payload
     must still be able to lead (a coordinate above `neg`), and every
     front vector must still be able to end <= 0 (no coordinate above
     `neg`). Kept as the reference for the flat checker."""
-    prefs, top, alts, friends = tables
-    bagset = frozenset(bag)
+    prefs, top, alts, friends, weights = tables
     pos = {y: k for k, y in enumerate(bag)}
     nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
-    n = len(prefs)
-    for (v, dag, s, a), payload in items:
+    total = sum(weights)
+    for (v, order, s, a), payload in items:
         if len(s) != len(bag) or any(len(s[k]) != len(alts[x]) for k, x in enumerate(bag)):
             return False
-        for u, w in dag:
-            if u == w or u not in bagset or w not in bagset or (w, u) in dag:
-                return False
-        for u, w in dag:
-            for w2, z in dag:
-                if w2 == w and z != u and (u, z) not in dag:
-                    return False
+        if sorted(order) != sorted(bag):
+            return False
         for k, x in enumerate(bag):
             if v[k] not in prefs[x]:
                 return False
@@ -485,12 +455,7 @@ def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
                 return False
             if a[k] > len(friends[x]):
                 return False
-            ing = []
-            for y in nbr_in[k]:
-                if (y, x) in dag:
-                    ing.append(y)
-                elif (x, y) not in dag:
-                    return False
+            ing = [y for y in nbr_in[k] if order.index(y) < order.index(x)]
             full = len(nbr_in[k]) == len(friends[x])
             if a[k] < len(ing) or (full and a[k] != len(ing)):
                 return False
@@ -505,9 +470,11 @@ def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
             if not payload:
                 return False
             for counts in payload:
-                if any(q < 0 for q in counts) or sum(counts) > n:
+                if any(q < 0 for q in counts) or sum(counts) > total:
                     return False
-                if any(q < v.count(c) for c, q in enumerate(counts)):
+                own = [sum(weights[x] for x, vk in zip(bag, v) if vk == c)
+                       for c in range(len(counts))]
+                if any(q < w for q, w in zip(counts, own)):
                     return False
         elif kind == "front":
             if not payload:
@@ -523,12 +490,12 @@ def nested_item(rec, item):
     """A flat ((v, D, c), payload) item over bag record `rec` in the
     nested (v, D, s, a) form, with the payload container as it is;
     fields past the bag's rows become one more row."""
-    (v, dag, c), payload = item
+    (v, order, c), payload = item
     bag, off = rec.bag, rec.off
     rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
     if len(c) > off[-1]:
         rows.append(c[off[-1]:])
-    return (v, dag, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)), payload
+    return (v, order, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)), payload
 
 
 def captured_checks(monkeypatch, run):
@@ -551,24 +518,33 @@ def captured_checks(monkeypatch, run):
 def mutants(rng, tables, rec, item, kind, n_candidates):
     """One-field mutations of a flat item: a vote, an `s` field, an `s`
     field pushed just past the voting-rule bound, an `a` field, one field
-    too many, an arc dropped or flipped; in count mode also one count
-    vector of the container with a field moved by one or pushed just
-    below the bag's own votes, the others kept (see `bad_counts`), and
-    the empty container; in a bounded margin sweep the payload `neg`
-    itself, <= `neg` everywhere; in front mode the empty front and, when
-    bounded, one more vector just above `neg` in one coordinate."""
-    top, alts = tables[1], tables[2]
-    (v, dag, c), payload = item
+    too many; in the order an agent dropped, an agent repeated, an agent
+    from outside the bag added and two friends swapped; in count mode
+    also one count vector of the container with a field moved by one or
+    pushed just below the bag's own votes, the others kept (see
+    `bad_counts`), and the empty container; in a bounded margin sweep
+    the payload `neg` itself, <= `neg` everywhere; in front mode the
+    empty front and, when bounded, one more vector just above `neg` in
+    one coordinate."""
+    top, alts, friends = tables[1], tables[2], tables[3]
+    (v, order, c), payload = item
     bag, off, unseen = rec.bag, rec.off, rec.unseen
-    out = [((v, dag, c + (0,)), payload)]
+    out = [((v, order, c + (0,)), payload)]
 
     def with_field(i, value):
-        return (v, dag, c[:i] + (value,) + c[i + 1:]), payload
+        return (v, order, c[:i] + (value,) + c[i + 1:]), payload
+
+    def with_order(changed):
+        return (v, changed, c), payload
+
+    def inserted(y):
+        i = rng.randrange(len(order) + 1)
+        return with_order(order[:i] + (y,) + order[i:])
 
     if bag:
         k = rng.randrange(len(bag))
         vote = rng.randrange(n_candidates)
-        out.append(((v[:k] + (vote,) + v[k + 1:], dag, c), payload))
+        out.append(((v[:k] + (vote,) + v[k + 1:], order, c), payload))
         for i in range(off[k], off[k + 1]):
             out.append(with_field(i, c[i] + rng.choice((-1, 1))))
         x, ai, r = bag[k], off[k + 1] - 1, unseen[k]
@@ -578,22 +554,29 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
                     out.append(with_field(rng.randrange(off[k], ai), (c[ai] + r) // 2 + 1))
             elif c[ai] >= r:
                 out.append(with_field(off[k] + alts[x].index(v[k]), (c[ai] - r) // 2))
-    if dag:
-        u, w = rng.choice(sorted(dag))
-        out.append(((v, dag - {(u, w)}, c), payload))
-        out.append(((v, (dag - {(u, w)}) | {(w, u)}, c), payload))
+        i = rng.randrange(len(order))
+        out.append(with_order(order[:i] + order[i + 1:]))
+        out.append(inserted(rng.choice(order)))
+    n = len(tables[0])
+    out.append(inserted(rng.choice([y for y in range(n) if y not in bag] or [n])))
+    swaps = [(i, j) for j in range(len(order)) for i in range(j)
+             if order[i] in friends[order[j]]]
+    if swaps:
+        i, j = rng.choice(swaps)
+        out.append(with_order(order[:i] + (order[j],) + order[i + 1:j] + (order[i],)
+                              + order[j + 1:]))
     if kind == "count":
         counts = rng.choice(sorted(payload))
         j = rng.randrange(len(counts))
         moved = counts[:j] + (counts[j] + rng.choice((-1, 1)),) + counts[j + 1:]
-        out.append(((v, dag, c), (payload - {counts}) | {moved}))
-        out += [((v, dag, c), bad) for bad in bad_counts(rng, v, payload)]
+        out.append(((v, order, c), (payload - {counts}) | {moved}))
+        out += [((v, order, c), bad) for bad in bad_counts(rng, tables, rec, v, payload)]
     elif kind == "front":
-        out.append(((v, dag, c), []))
+        out.append(((v, order, c), []))
         if rec.neg is not None:
-            out.append(((v, dag, c), payload + [above(rng, rng.choice(payload), rec.neg)]))
+            out.append(((v, order, c), payload + [above(rng, rng.choice(payload), rec.neg)]))
     elif rec.neg is not None:
-        out.append(((v, dag, c), rec.neg))
+        out.append(((v, order, c), rec.neg))
     return out
 
 
@@ -603,20 +586,21 @@ def above(rng, p, neg):
     return p[:j] + (neg[j] + 1,) + p[j + 1:]
 
 
-def bad_counts(rng, v, payload):
+def bad_counts(rng, tables, rec, v, payload):
     """Two count containers that no state can have: `payload` with one
-    of its vectors pushed one below the bag's own votes in a field, and
-    the empty container."""
+    of its vectors pushed one below the bag's own weighted votes in a
+    field, and the empty container."""
     counts = rng.choice(sorted(payload))
     j = rng.randrange(len(counts))
-    low = counts[:j] + (v.count(j) - 1,) + counts[j + 1:]
+    own = sum(tables[4][x] for x, vk in zip(rec.bag, v) if vk == j)
+    low = counts[:j] + (own - 1,) + counts[j + 1:]
     return [(payload - {counts}) | {low}, set()]
 
 
 def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     """The flat checker against the reference on every captured slice, on
     mutants of sampled items alone, and on each mutant placed after the
-    first items of its slice that share its DAG, so that the per-DAG
+    first items of its slice that share its order, so that the per-order
     and per-(v, D) caches are filled when it arrives (a payload mutant
     then arrives after its own key with the original container)."""
     for tables, rec, items, kind in calls:
@@ -628,19 +612,18 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
 
         agree(items)
         for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
-            dag = items[idx][0][1]
-            before = [it for it in items if it[0][1] == dag][:siblings]
+            order = items[idx][0][1]
+            before = [it for it in items if it[0][1] == order][:siblings]
             for mutant in mutants(rng, tables, rec, items[idx], kind, n_candidates):
                 agree([mutant])
                 agree(before + [mutant])
 
 
 def sweep_all(inst):
-    """Count sweeps where unweighted, and per candidate one margin sweep
-    and the bounded margin and front sweeps of the two decisions."""
+    """One count sweep, and per candidate one margin sweep and the
+    bounded margin and front sweeps of the two decisions."""
     ntd = nice_td_of(inst)
-    if inst.is_unweighted():
-        achievable_scores_dp(inst, ntd)
+    achievable_scores_dp(inst, ntd)
     for c in inst.candidates:
         margins_dp(inst, ntd, c)
         necessary_winner_dp(inst, ntd, c)
@@ -678,9 +661,9 @@ class TestKeyChecker:
         for tables, rec, items, kind in calls:
             several = [k for k, (_, counts) in enumerate(items) if len(counts) > 1]
             for idx in rng.sample(several, min(3, len(several))):
-                (v, dag, c), counts = items[idx]
-                for bad in bad_counts(rng, v, counts):
-                    corrupt = items[:idx] + [((v, dag, c), bad)] + items[idx + 1:]
+                (v, order, c), counts = items[idx]
+                for bad in bad_counts(rng, tables, rec, v, counts):
+                    corrupt = items[:idx] + [((v, order, c), bad)] + items[idx + 1:]
                     assert not dpsolver._keys_compatible(tables, rec, corrupt, kind)
                     assert not reference_keys_compatible(
                         tables, rec.bag, [nested_item(rec, it) for it in corrupt], kind,
@@ -731,7 +714,7 @@ def join_without_overlap(original):
 def places_without_bumps(original):
     """Insert places that never count x for the friends voting after it."""
     def places(self, *args):
-        return [(in_pos, {}, arcs) for in_pos, _, arcs in original(self, *args)]
+        return [(in_pos, {}, order) for in_pos, _, order in original(self, *args)]
     return places
 
 
@@ -766,8 +749,8 @@ def forget_keeping_row(original):
         px, start, stop = forgotten_row(crec, x)
         sl = {}
         for (v, d, c), p in child.items():
-            arcs = frozenset(arc for arc in d if x not in arc)
-            self._merge(sl, (v[:px] + v[px + 1:], arcs, c[:start] + c[stop:] + c[start:stop]),
+            order = tuple(y for y in d if y != x)
+            self._merge(sl, (v[:px] + v[px + 1:], order, c[:start] + c[stop:] + c[start:stop]),
                         p)
         return sl
     return forget
@@ -904,8 +887,7 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
                            unpruned(getattr(dpsolver._Engine, method), bound=True))
             mp.setattr(dpsolver._Engine, "_forget",
                        forget_with_rule(dpsolver._Engine._forget))
-        if inst.is_unweighted():
-            achievable_scores_dp(inst, ntd, trace=[])
+        achievable_scores_dp(inst, ntd, trace=[])
         for c in inst.candidates:
             margins_dp(inst, ntd, c, trace=[])
             necessary_winner_dp(inst, ntd, c, trace=[])
@@ -917,7 +899,7 @@ class TestPruning:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_unseen_counts_friends_outside_the_subtree(self, inst):
-        _, _, alts, friends = dpsolver._agent_tables(inst)
+        alts, friends = dpsolver._agent_tables(inst)[2:4]
         for ntd in all_decompositions(inst):
             below = []
             for nd, rec in zip(ntd.nodes, dpsolver._bags(ntd, alts, friends)):

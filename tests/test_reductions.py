@@ -21,7 +21,6 @@ from socialpolls.reductions import (
     gen_partition_wpw,
     gen_random,
     gen_sat_upw,
-    gen_unw_necessary_check,
     parse_dimacs,
     parse_hitting_sets,
     parse_partition_numbers,
@@ -231,12 +230,6 @@ class TestHittingSetReduction:
         for e in range(6):
             with pytest.raises(PollInputError):
                 witness_order_hitting(miss, ReductionParams(8, 3), (e,))
-
-    def test_necessary_check_variant(self):
-        h, params = self.minimal()
-        inst, target = gen_unw_necessary_check(h, params)
-        assert target == "b"
-        assert inst == gen_hitting_set_upw(h, params)
 
 
 class TestCnfInput:
