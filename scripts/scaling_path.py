@@ -15,7 +15,7 @@ import sys
 import time
 
 from socialpolls.dpsolver import achievable_scores_dp
-from socialpolls.graphkit import graph_of, heuristic_td, make_nice
+from socialpolls.graphkit import heuristic_td, make_nice
 from socialpolls.model import AgentPrefs, Instance
 from socialpolls.oracle import achievable_scores_bf
 
@@ -41,7 +41,7 @@ def main(argv=None):
     print("agents entries sets dp-ms bf-ms")
     for n in range(args.min_length, args.max_length + 1, args.step):
         inst = path_instance(n)
-        ntd = make_nice(heuristic_td(graph_of(inst)))
+        ntd = make_nice(heuristic_td(inst.graph))
         stats = {}
         start = time.monotonic()
         via_dp = achievable_scores_dp(inst, ntd, stats=stats)

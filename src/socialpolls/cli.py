@@ -283,7 +283,7 @@ def _cmd_validate(args):
 def _cmd_simulate(args):
     inst = _load_instance(args.instance)
     try:
-        order = tuple(int(t) for t in args.order.split(","))
+        order = tuple(int(t) for t in args.order.split(",")) if args.order else ()
     except ValueError:
         raise PollInputError("order must be comma-separated integers")
     sim = simulate_order(inst, order)

@@ -2,12 +2,15 @@
 
 `Graph` itself lives in `model`, where each instance builds its
 friendship graph once; it is imported here so that `graphkit.Graph`
-keeps working, and `graph_of(inst)` returns `inst.graph`. Provides
-connected components, enumeration of acyclic orientations,
-counting of labeled DAGs, tree decompositions (a min-fill heuristic and
-an exact search for small graphs), and conversion to the nice form the
-dynamic programs consume. A plain text export format for decompositions
-lives here as well:
+keeps working. `graph_of(inst)` returns `inst.graph` and stays only for
+`benchmark/make_pool.py`. Provides connected components, enumeration of
+acyclic orientations, counting of labeled DAGs, tree decompositions (a
+min-fill heuristic and an exact search for small graphs), and conversion
+to the nice form the dynamic programs consume. A decomposition is
+checked once, on its nice form: with an empty root bag, the nodes
+holding a vertex form one subtree per forget of that vertex, so vertex
+coverage, connectivity and edge coverage are read off the forget nodes.
+A plain text export format for decompositions lives here as well:
 
     bag <id> <vertex>*
     treeedge <id> <id>
@@ -29,7 +32,8 @@ _EXACT_MAX_N = 14
 
 
 def graph_of(inst):
-    """Friendship graph of an instance, built once with it."""
+    """Friendship graph of an instance, built once with it: another name
+    for `inst.graph`, kept only for `benchmark/make_pool.py`."""
     return inst.graph
 
 
@@ -167,51 +171,27 @@ class TreeDecomposition:
 def validate_td(g, td):
     """Check that `td` is a tree decomposition of `g`; raise otherwise.
 
-    Runs in time linear in the total bag size: each vertex's bags are
-    listed once, and since the bag graph is a tree, the bags holding a
-    vertex are connected exactly when the tree edges inside them number
-    one less than the bags.
+    Only what needs the bag graph itself is checked here: at least one
+    bag, bag vertices of `g`, and tree edges between existing bags, one
+    fewer than the bags. `make_nice` then rejects a disconnected bag
+    graph, so the bags form a tree, and `validate_nice` checks vertex
+    coverage, connectivity and edge coverage on its nice form, whose
+    bags hold each vertex in as many separate subtrees as the original
+    bags do and cover no edge the original bags miss.
     """
     b = len(td.bags)
     if b == 0:
         raise PollInputError("a decomposition needs at least one bag")
-    holding = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (isinstance(v, int) and 0 <= v < g.n):
                 raise PollInputError("bag %d holds unknown vertex %r" % (i, v))
-            holding[v].append(i)
-    nbrs = [[] for _ in range(b)]
     for i, j in td.tree_edges:
         if i == j or not (0 <= i < b and 0 <= j < b):
             raise PollInputError("tree edge (%r, %r) is invalid" % (i, j))
-        nbrs[i].append(j)
-        nbrs[j].append(i)
     if len(td.tree_edges) != b - 1:
         raise PollInputError("bag graph is not a tree")
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != b:
-        raise PollInputError("bag graph is not connected")
-    for v in range(g.n):
-        if not holding[v]:
-            raise PollInputError("vertex %d is not in any bag" % v)
-    for u, v in g.edges:
-        if set(holding[u]).isdisjoint(holding[v]):
-            raise PollInputError("edge (%d, %d) is not inside any bag" % (u, v))
-    inside = [0] * g.n
-    for i, j in td.tree_edges:
-        for v in td.bags[i] & td.bags[j]:
-            inside[v] += 1
-    for v in range(g.n):
-        if inside[v] != len(holding[v]) - 1:
-            raise PollInputError("bags of vertex %d are not connected" % v)
+    validate_nice(g, make_nice(td))
 
 
 def _td_from_order(g, order):
@@ -299,8 +279,6 @@ def exact_td_small(g):
             "exact decomposition limited to %d vertices, got %d" % (_EXACT_MAX_N, g.n)
         )
     n = g.n
-    if n == 0:
-        return TreeDecomposition(bags=(frozenset(),), tree_edges=frozenset())
     adjmask = [0] * n
     for u, v in g.edges:
         adjmask[u] |= 1 << v
@@ -375,14 +353,6 @@ class NiceTreeDecomposition:
     def width(self):
         return max((len(nd.bag) for nd in self.nodes), default=0) - 1
 
-    def as_td(self):
-        bags = tuple(frozenset(nd.bag) for nd in self.nodes)
-        edges = set()
-        for i, nd in enumerate(self.nodes):
-            for c in nd.children:
-                edges.add((c, i))
-        return TreeDecomposition(bags, frozenset(edges))
-
 
 def make_nice(td):
     """Rewrite a tree decomposition into nice form.
@@ -433,22 +403,12 @@ def make_nice(td):
             node_id = emit("insert", sorted(cur), (node_id,), w)
         return node_id
 
-    def fresh(bag):
-        verts = sorted(bag)
-        if not verts:
-            return emit("leaf", ())
-        node_id = emit("leaf", (verts[0],))
-        cur = {verts[0]}
-        for w in verts[1:]:
-            cur.add(w)
-            node_id = emit("insert", sorted(cur), (node_id,), w)
-        return node_id
-
     done = {}
     for u in reversed(topo):
         bag = td.bags[u]
         if not children[u]:
-            done[u] = fresh(bag)
+            first = {min(bag)} if bag else set()
+            done[u] = chain_to(emit("leaf", sorted(first)), first, bag)
             continue
         parts = [chain_to(done[c], td.bags[c], bag) for c in children[u]]
         cur = parts[0]
@@ -461,7 +421,19 @@ def make_nice(td):
 
 def validate_nice(g, ntd):
     """Check shape rules of a nice decomposition and that it is a valid
-    decomposition of `g`; raise otherwise."""
+    decomposition of `g`; raise otherwise.
+
+    Once the shape rules hold, the decomposition is read off its leaves,
+    inserts and forgets. Bags gain vertices only at leaves and inserts,
+    so checking the vertices those bring in checks every bag. Going up
+    the tree a vertex leaves the bags only at a forget of it, and the
+    root bag is empty, so the nodes holding v form one subtree per forget
+    of v, topped by that forget's child: v is in some bag exactly when it
+    is forgotten, and its bags are connected exactly when it is forgotten
+    once. Two such subtrees meet only if the top of one lies in the
+    other, so edge (u, v) is inside a bag exactly when v is in the bag
+    of u's forget child or u in that of v's.
+    """
     nodes = ntd.nodes
     if not nodes:
         raise PollInputError("a nice decomposition needs at least one node")
@@ -470,6 +442,7 @@ def validate_nice(g, ntd):
     if nodes[ntd.root].bag != ():
         raise PollInputError("root bag must be empty")
     used = set()
+    top = {}    # vertex -> child of its forget node
     for i, nd in enumerate(nodes):
         if list(nd.bag) != sorted(set(nd.bag)):
             raise PollInputError("node %d bag is not sorted and duplicate-free" % i)
@@ -480,9 +453,11 @@ def validate_nice(g, ntd):
                 raise PollInputError("node %r has two parents" % (c,))
             used.add(c)
         bag = set(nd.bag)
+        new = ()
         if nd.kind == "leaf":
             if nd.children or len(nd.bag) > 1:
                 raise PollInputError("leaf node %d is malformed" % i)
+            new = nd.bag
         elif nd.kind in ("insert", "forget"):
             if len(nd.children) != 1 or nd.vertex is None:
                 raise PollInputError("%s node %d is malformed" % (nd.kind, i))
@@ -490,9 +465,13 @@ def validate_nice(g, ntd):
             if nd.kind == "insert":
                 if nd.vertex in child or bag != child | {nd.vertex}:
                     raise PollInputError("insert node %d does not add its vertex" % i)
+                new = (nd.vertex,)
             else:
                 if nd.vertex not in child or bag != child - {nd.vertex}:
                     raise PollInputError("forget node %d does not drop its vertex" % i)
+                if nd.vertex in top:
+                    raise PollInputError("bags of vertex %d are not connected" % nd.vertex)
+                top[nd.vertex] = nd.children[0]
         elif nd.kind == "join":
             if len(nd.children) != 2:
                 raise PollInputError("join node %d needs two children" % i)
@@ -501,9 +480,17 @@ def validate_nice(g, ntd):
                     raise PollInputError("join node %d changes the bag" % i)
         else:
             raise PollInputError("unknown node kind %r" % (nd.kind,))
+        for v in new:
+            if not (isinstance(v, int) and 0 <= v < g.n):
+                raise PollInputError("node %d holds unknown vertex %r" % (i, v))
     if used != set(range(len(nodes))) - {ntd.root}:
         raise PollInputError("tree is not connected through the root")
-    validate_td(g, ntd.as_td())
+    for v in range(g.n):
+        if v not in top:
+            raise PollInputError("vertex %d is not in any bag" % v)
+    for u, v in g.edges:
+        if v not in nodes[top[u]].bag and u not in nodes[top[v]].bag:
+            raise PollInputError("edge (%d, %d) is not inside any bag" % (u, v))
 
 
 def render_td(td):

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
-from socialpolls.graphkit import graph_of, heuristic_td, make_nice
+from socialpolls.graphkit import heuristic_td, make_nice
 from socialpolls.model import AgentPrefs, Instance
 
 
@@ -81,7 +81,7 @@ def with_backer(inst, c):
 
 
 def nice_td_of(inst):
-    return make_nice(heuristic_td(graph_of(inst)))
+    return make_nice(heuristic_td(inst.graph))
 
 
 def equal_split_possible(numbers):

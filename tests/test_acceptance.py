@@ -19,7 +19,7 @@ from conftest import (
     hitting_sets,
     nice_td_of,
 )
-from socialpolls.graphkit import count_labeled_dags, graph_of, heuristic_td
+from socialpolls.graphkit import count_labeled_dags, heuristic_td
 from socialpolls.model import (
     AgentPrefs,
     Instance,
@@ -86,7 +86,7 @@ def test_c01_scores_dp_equals_bf_unweighted():
     while checked < 300:
         n = rng.randint(2, 8)
         inst = gen_random(rng.randrange(10**6), n, 3, edge_prob=0.4)
-        if heuristic_td(graph_of(inst)).width > 2:
+        if heuristic_td(inst.graph).width > 2:
             continue
         assert achievable_scores_dp(inst, nice_td_of(inst)) == achievable_scores_bf(inst)
         checked += 1
@@ -106,7 +106,7 @@ def test_c02_margins_and_necessary_dp_equals_bf_weighted():
             inst = gen_random(
                 rng.randrange(10**6), n, k, edge_prob=0.3, max_weight=9
             )
-            if len(graph_of(inst).edges) <= 14:
+            if len(inst.graph.edges) <= 14:
                 break
         ntd = nice_td_of(inst)
         for c in inst.candidates:
@@ -188,13 +188,13 @@ def test_c05a_hitting_instances_structurally_sound():
     # B - k - D*t top-a agents and B - 2k top-b agents. Budget 1 minute.
     for h, params, _ in hitting_cases():
         inst = gen_hitting_set_upw(h, params)
-        assert is_bipartite(graph_of(inst))
+        assert is_bipartite(inst.graph)
         big_b, big_d = params.resolve(h.n_elements, h.n_sets, h.budget)
         a_lo, a_hi = inst.meta["isolated_a_range"]
         b_lo, b_hi = inst.meta["isolated_b_range"]
         assert a_hi - a_lo == big_b - h.budget - big_d * h.n_sets
         assert b_hi - b_lo == big_b - 2 * h.budget
-        adjacency = graph_of(inst).adjacency
+        adjacency = inst.graph.adjacency
         for x in range(a_lo, a_hi):
             assert inst.agents[x].top == "a" and not adjacency[x]
         for x in range(b_lo, b_hi):

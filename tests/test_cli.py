@@ -132,6 +132,14 @@ class TestValidateAndSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_empty_order_on_a_poll_without_agents(self, capsys, tmp_path):
+        path = save(tmp_path, Instance(("a", "b"), (), frozenset(), "a"))
+        code, out, err = run(capsys, "simulate", "--instance", path, "--order", "")
+        assert code == 0
+        lines = out.splitlines()
+        assert "votes: " in lines
+        assert [ln for ln in lines if ln.startswith("score ")] == ["score a: 0", "score b: 0"]
+
     def test_missing_file_exits_one(self, capsys):
         code, out, err = run(capsys, "validate", "--instance", "/nonexistent")
         assert code == 1

@@ -20,7 +20,6 @@ from socialpolls.dpsolver import (
 from socialpolls.graphkit import (
     TreeDecomposition,
     exact_td_small,
-    graph_of,
     heuristic_td,
     make_nice,
 )
@@ -43,7 +42,7 @@ from test_model import p3_gadget, two_agent_edge
 
 def all_decompositions(inst):
     """Three differently built nice decompositions of the same graph."""
-    g = graph_of(inst)
+    g = inst.graph
     yield make_nice(heuristic_td(g))
     yield make_nice(exact_td_small(g))
     one_bag = TreeDecomposition((frozenset(range(g.n)),), set())

@@ -23,7 +23,6 @@ from socialpolls.graphkit import (
     count_labeled_dags,
     enumerate_acyclic_orientations,
     exact_td_small,
-    graph_of,
     heuristic_td,
     make_nice,
     parse_td,
@@ -37,7 +36,7 @@ from socialpolls.reductions import gen_random
 
 
 def random_graph(seed, n, p):
-    return graph_of(gen_random(seed, n, 2, edge_prob=p))
+    return gen_random(seed, n, 2, edge_prob=p).graph
 
 
 def random_forest(seed, n):
@@ -103,7 +102,7 @@ class TestGraph:
 
     def test_instance_builds_its_graph_once(self):
         inst = gen_random(5, 6, 2, edge_prob=0.5)
-        assert graph_of(inst) is graph_of(inst) is inst.graph
+        assert inst.graph is inst.graph
         assert inst.graph == Graph(inst.n_agents, inst.edges)
         assert inst.edges is inst.graph.edges
 
@@ -188,6 +187,14 @@ class TestTreeDecomposition:
         # vertex 2 missing
         with pytest.raises(PollInputError):
             validate_td(g, TreeDecomposition((frozenset([0, 1]),), set()))
+        # vertex 3 is not a vertex of g
+        with pytest.raises(PollInputError, match="bag 1 holds unknown vertex 3"):
+            validate_td(
+                g,
+                TreeDecomposition(
+                    (frozenset([0, 1]), frozenset([1, 2, 3])), {(0, 1)}
+                ),
+            )
         # edge 1-2 in no bag
         with pytest.raises(PollInputError):
             validate_td(
@@ -347,6 +354,18 @@ class TestNiceForm:
         # a valid nice tree of another graph
         (Graph(3, [(0, 1), (1, 2)]), make_nice(heuristic_td(Graph(2, [(0, 1)]))),
          "vertex 2 is not in any bag"),
+        # vertex 0 is forgotten under both children of the root join
+        (Graph(1, []), NiceTreeDecomposition((
+            NiceNode("leaf", (0,)),
+            NiceNode("forget", (), (0,), 0),
+            NiceNode("leaf", (0,)),
+            NiceNode("forget", (), (2,), 0),
+            NiceNode("join", (), (1, 3)),
+        ), 4), "bags of vertex 0 are not connected"),
+        # no bag of the star's tree holds both of its leaves
+        (Graph(3, [(0, 1), (0, 2), (1, 2)]), corrupted_star(),
+         r"edge \(1, 2\) is not inside any bag"),
+        (Graph(2, [(0, 1)]), corrupted_star(), "unknown vertex 2"),
     ])
     def test_nice_shape_rejections(self, g, ntd, match):
         validate_nice(STAR, corrupted_star())

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_scores, small_instances
-from socialpolls.graphkit import connected_components, graph_of, induced_subgraph
+from socialpolls.graphkit import connected_components, induced_subgraph
 from socialpolls.model import (
     AgentPrefs,
     Instance,
@@ -66,7 +66,7 @@ def reference_table(inst):
     is simulated from scratch with `simulate_orientation` and the first
     one per score tuple is kept; components combine by pointwise sums,
     first pair first."""
-    g = graph_of(inst)
+    g = inst.graph
     table = {(0,) * len(inst.candidates): ()}
     for comp in connected_components(g):
         sub, ids = induced_subgraph(g, comp)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cnf_satisfiable, equal_split_possible, hitting_sets
-from socialpolls.graphkit import connected_components, graph_of
+from socialpolls.graphkit import connected_components
 from socialpolls.model import PollInputError, simulate_order, winners
 from socialpolls.oracle import possible_winner_bf, necessary_winner_bf
 from socialpolls.reductions import (
@@ -174,7 +174,7 @@ class TestHittingSetReduction:
 
     def test_bipartite(self):
         h, params = self.minimal()
-        assert is_bipartite(graph_of(gen_hitting_set_upw(h, params)))
+        assert is_bipartite(gen_hitting_set_upw(h, params).graph)
 
     def test_witness_scores_match_closed_forms(self):
         h, params = self.minimal()
@@ -399,7 +399,7 @@ class TestRandomGenerator:
     @settings(max_examples=50, deadline=None)
     def test_forest_flag_makes_forests(self, seed, n):
         inst = gen_random(seed, n, 2, edge_prob=0.7, forest=True)
-        g = graph_of(inst)
+        g = inst.graph
         assert len(g.edges) == g.n - len(connected_components(g))
 
     def test_bounds_respected(self):

@@ -1,11 +1,13 @@
-"""Smoke runs of the cross-check and scaling scripts under scripts/."""
+"""Smoke runs of the cross-check and scaling scripts under scripts/, and
+of the benchmark's tracer."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -29,3 +31,22 @@ def test_scaling_path_matches_brute_force(capsys):
     # a header, then lengths 4, 6, ..., 14, each with a brute-force time
     assert len(lines) == 7
     assert all(line.split()[-1] != "-" for line in lines[1:])
+
+
+def test_benchmark_tracer_wraps_and_restores_its_targets(monkeypatch):
+    # the traced benchmark wraps package names by attribute; one renamed
+    # or dropped in src/ would otherwise fail only a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    spans = importlib.import_module("spans")
+
+    originals = [(module, attr, getattr(module, attr))
+                 for module, attr, _ in spans._TARGETS]
+    originals.append((spans.oracle, "enumerate_acyclic_orientations",
+                      spans.oracle.enumerate_acyclic_orientations))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(module, attr) is not fn for module, attr, fn in originals)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(module, attr) is fn for module, attr, fn in originals)
