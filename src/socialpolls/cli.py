@@ -12,6 +12,10 @@ Tokens are whitespace-separated and a token starting with '#' comments
 out the rest of the line. Agent ids must be exactly 0..n-1. Rendering
 is canonical (agents by id, edges sorted, prefs in candidate order,
 weight omitted when 1), so render(parse(render(x))) == render(x).
+`td` reports print the decomposition as one `bag <id> <vertex>*` line
+per bag, then one `treeedge <id> <id>` line per tree edge. The package's
+text formats all live here, apart from the reduction input files that
+`reductions` parses.
 
 Reports are one `key: value` pair per line. Exit codes: 0 clean run,
 1 usage, parse or cross-check failure, 2 a NO decision under
@@ -31,13 +35,7 @@ from .dpsolver import (
     necessary_winner_dp,
     possible_winner_dp,
 )
-from .graphkit import (
-    exact_td_small,
-    heuristic_td,
-    line_tokens,
-    make_nice,
-    render_td,
-)
+from .graphkit import exact_td_small, heuristic_td, make_nice
 from .model import (
     AgentPrefs,
     Instance,
@@ -53,6 +51,17 @@ from .oracle import (
     possible_winner_bf,
 )
 from . import reductions
+
+
+def line_tokens(line):
+    """The whitespace-separated tokens of a document line, up to the
+    first one that starts with '#'."""
+    toks = []
+    for tok in line.split():
+        if tok.startswith("#"):
+            break
+        toks.append(tok)
+    return toks
 
 
 def parse_instance(text):
@@ -110,8 +119,6 @@ def parse_instance(text):
         raise PollInputError("missing candidates line")
     if distinguished is None:
         raise PollInputError("missing distinguished line")
-    if distinguished not in candidates:
-        raise PollInputError("distinguished candidate %r is not declared" % distinguished)
     n = len(agents)
     for i in sorted(agents):
         if not 0 <= i < n:
@@ -169,10 +176,6 @@ def _parse_agent(toks, ln, agents, agent_lines):
             raise PollInputError("line %d: unknown agent field %r" % (ln, key))
     if top is None or not prefs:
         raise PollInputError("line %d: agent needs top= and prefs=" % ln)
-    if top not in prefs:
-        raise PollInputError(
-            "line %d: top %r is not among prefs %s" % (ln, top, ",".join(prefs))
-        )
     try:
         agents[aid] = AgentPrefs(top, frozenset(prefs), 1 if weight is None else weight)
     except PollInputError as exc:
@@ -228,8 +231,11 @@ def _load_instance(path, parse=None):
 def _emit(lines, output):
     text = "".join(line + "\n" for line in lines)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PollInputError("cannot write %s: %s" % (output, exc))
     else:
         sys.stdout.write(text)
 
@@ -369,6 +375,17 @@ def _cmd_question(args):
     return 2 if question != "scores" and args.strict_exit and not answer else 0
 
 
+def render_td(td):
+    """Serialize a decomposition as `bag <id> <vertex>*` lines, then
+    `treeedge <id> <id>` lines."""
+    out = []
+    for i, bag in enumerate(td.bags):
+        out.append(" ".join(["bag", str(i)] + [str(v) for v in sorted(bag)]))
+    for i, j in sorted(td.tree_edges):
+        out.append("treeedge %d %d" % (i, j))
+    return "\n".join(out) + "\n"
+
+
 def _cmd_td(args):
     inst = _load_instance(args.instance)
     td = heuristic_td(inst.graph)
@@ -399,7 +416,10 @@ def _cmd_gen(args):
         inst = reductions.gen_sat_upw(f, preprocess=not args.no_preprocess)
     elif args.generator == "family":
         if args.lengths:
-            lengths = tuple(int(t) for t in args.lengths.split(","))
+            try:
+                lengths = tuple(int(t) for t in args.lengths.split(","))
+            except ValueError:
+                raise PollInputError("--lengths must be comma-separated integers")
             inst = reductions.gen_family_multi(args.kind, lengths)
         elif args.length:
             inst = reductions.gen_family(args.kind, args.length)

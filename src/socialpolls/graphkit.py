@@ -7,15 +7,11 @@ keeps working. `graph_of(inst)` returns `inst.graph` and stays only for
 acyclic orientations, counting of labeled DAGs, tree decompositions (a
 min-fill heuristic and an exact search for small graphs), and conversion
 to the nice form the dynamic programs consume. A decomposition is
-checked once, on its nice form: with an empty root bag, the nodes
-holding a vertex form one subtree per forget of that vertex, so vertex
-coverage, connectivity and edge coverage are read off the forget nodes.
-A plain text export format for decompositions lives here as well:
-
-    bag <id> <vertex>*
-    treeedge <id> <id>
-
-with one line per bag and per tree edge, '#' starting a comment token.
+checked once, on its nice form: `make_nice` refuses a bag graph that is
+not a tree, and with an empty root bag the nodes holding a vertex form
+one subtree per forget of that vertex, so `validate_nice` reads vertex
+coverage, connectivity and edge coverage off the forget nodes. Text
+formats live in `cli`.
 """
 
 from __future__ import annotations
@@ -166,32 +162,6 @@ class TreeDecomposition:
     @property
     def width(self):
         return max((len(b) for b in self.bags), default=0) - 1
-
-
-def validate_td(g, td):
-    """Check that `td` is a tree decomposition of `g`; raise otherwise.
-
-    Only what needs the bag graph itself is checked here: at least one
-    bag, bag vertices of `g`, and tree edges between existing bags, one
-    fewer than the bags. `make_nice` then rejects a disconnected bag
-    graph, so the bags form a tree, and `validate_nice` checks vertex
-    coverage, connectivity and edge coverage on its nice form, whose
-    bags hold each vertex in as many separate subtrees as the original
-    bags do and cover no edge the original bags miss.
-    """
-    b = len(td.bags)
-    if b == 0:
-        raise PollInputError("a decomposition needs at least one bag")
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if not (isinstance(v, int) and 0 <= v < g.n):
-                raise PollInputError("bag %d holds unknown vertex %r" % (i, v))
-    for i, j in td.tree_edges:
-        if i == j or not (0 <= i < b and 0 <= j < b):
-            raise PollInputError("tree edge (%r, %r) is invalid" % (i, j))
-    if len(td.tree_edges) != b - 1:
-        raise PollInputError("bag graph is not a tree")
-    validate_nice(g, make_nice(td))
 
 
 def _td_from_order(g, order):
@@ -361,11 +331,19 @@ def make_nice(td):
     original bag becomes a leaf-plus-insert chain or, for inner nodes,
     per-child forget/insert chains folded together by joins; a final
     forget chain empties the root bag. Width never grows and the node
-    count stays linear in the input size.
+    count stays linear in the input size. A bag graph that is not a tree
+    is refused, so `validate_nice(g, make_nice(td))` checks that `td` is
+    a tree decomposition of `g`.
     """
     b = len(td.bags)
+    if b == 0:
+        raise PollInputError("a decomposition needs at least one bag")
+    if len(td.tree_edges) != b - 1:
+        raise PollInputError("bag graph is not a tree")
     nbrs = [[] for _ in range(b)]
     for i, j in td.tree_edges:
+        if i == j or not (0 <= i < b and 0 <= j < b):
+            raise PollInputError("tree edge (%r, %r) is invalid" % (i, j))
         nbrs[i].append(j)
         nbrs[j].append(i)
     children = [[] for _ in range(b)]
@@ -491,66 +469,3 @@ def validate_nice(g, ntd):
     for u, v in g.edges:
         if v not in nodes[top[u]].bag and u not in nodes[top[v]].bag:
             raise PollInputError("edge (%d, %d) is not inside any bag" % (u, v))
-
-
-def render_td(td):
-    """Serialize a decomposition in the bag/treeedge line format."""
-    out = []
-    for i, bag in enumerate(td.bags):
-        out.append(" ".join(["bag", str(i)] + [str(v) for v in sorted(bag)]))
-    for i, j in sorted(td.tree_edges):
-        out.append("treeedge %d %d" % (i, j))
-    return "\n".join(out) + "\n"
-
-
-def line_tokens(line):
-    """The whitespace-separated tokens of a document line, up to the
-    first one that starts with '#'."""
-    toks = []
-    for tok in line.split():
-        if tok.startswith("#"):
-            break
-        toks.append(tok)
-    return toks
-
-
-def parse_td(text):
-    """Parse the bag/treeedge line format back into a decomposition."""
-    bags = {}
-    edges = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        tokens = line_tokens(raw)
-        if not tokens:
-            continue
-        kind, args = tokens[0], tokens[1:]
-        if kind == "bag":
-            if not args:
-                raise PollInputError("line %d: bag line without an id" % ln)
-            try:
-                idx = int(args[0])
-                verts = [int(t) for t in args[1:]]
-            except ValueError:
-                raise PollInputError("line %d: bag ids must be integers" % ln) from None
-            if idx in bags:
-                raise PollInputError("line %d: duplicate bag %d" % (ln, idx))
-            bags[idx] = frozenset(verts)
-        elif kind == "treeedge":
-            if len(args) != 2:
-                raise PollInputError("line %d: treeedge needs two bag ids" % ln)
-            try:
-                i, j = int(args[0]), int(args[1])
-            except ValueError:
-                raise PollInputError("line %d: bag ids must be integers" % ln) from None
-            edges.add((i, j))
-        else:
-            raise PollInputError("line %d: unknown keyword %r" % (ln, kind))
-    if not bags:
-        raise PollInputError("no bags found")
-    if sorted(bags) != list(range(len(bags))):
-        raise PollInputError("bag ids must be 0..%d" % (len(bags) - 1))
-    for i, j in edges:
-        if i not in bags or j not in bags:
-            raise PollInputError("treeedge (%d, %d) references a missing bag" % (i, j))
-    return TreeDecomposition(
-        tuple(bags[i] for i in range(len(bags))), frozenset(edges)
-    )

@@ -669,7 +669,9 @@ def parse_dimacs(text):
     literals = []
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line[0] in "c%":
+        if line.startswith("%"):
+            break    # SATLIB files end with a '%' line, then a lone '0'
+        if not line or line[0] == "c":
             continue
         if line.startswith("p"):
             parts = line.split()

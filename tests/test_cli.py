@@ -85,6 +85,8 @@ class TestDocumentFormat:
             ("candidates a\ndistinguished a\nagent 1 top=a prefs=a\n", "line 3"),
             ("candidates a\ndistinguished a\nagent 0 top=b prefs=a\n", "top"),
             ("candidates a\nagent 0 top=a prefs=a\n", "distinguished"),
+            ("candidates a\ndistinguished z\nagent 0 top=a prefs=a\n",
+             "distinguished candidate 'z' is not declared"),
             ("distinguished a\nagent 0 top=a prefs=a\n", "candidates"),
             ("candidates a\ndistinguished a\nagent 0 top=a prefs=a\nedge 0 1\n", "unknown agent"),
             ("candidates a\ndistinguished a\nwhatever 1\n", "unknown directive"),
@@ -148,6 +150,15 @@ class TestValidateAndSimulate:
     def test_usage_error_exits_one(self, capsys):
         code, out, err = run(capsys, "validate")
         assert code == 1
+
+    def test_unwritable_output_exits_one(self, capsys, tmp_path):
+        path = save(tmp_path, p3_gadget())
+        code, out, err = run(
+            capsys, "validate", "--instance", path,
+            "--output", str(tmp_path / "missing" / "out.txt"),
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write ")
 
 
 class TestDecisionCommands:
@@ -454,7 +465,9 @@ class TestTdCommand:
         assert code == 0
         assert "width: 1" in out
         assert "exact-width: 1" in out
-        assert any(l.startswith("bag 0") for l in out.splitlines())
+        assert [l for l in out.splitlines() if l.startswith(("bag ", "treeedge "))] == [
+            "bag 0 0 1", "bag 1 1 2", "bag 2 2", "treeedge 0 1", "treeedge 1 2",
+        ]
 
 
 class TestGenCommands:
@@ -483,6 +496,9 @@ class TestGenCommands:
         assert parse_instance(out).n_agents == 4
         code, out, err = run(capsys, "gen", "family", "--kind", "L")
         assert code == 1
+        code, out, err = run(capsys, "gen", "family", "--kind", "L", "--lengths", "1,x")
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_sat_from_dimacs(self, capsys, tmp_path):
         dimacs = tmp_path / "f.cnf"

@@ -25,10 +25,7 @@ from socialpolls.graphkit import (
     exact_td_small,
     heuristic_td,
     make_nice,
-    parse_td,
-    render_td,
     validate_nice,
-    validate_td,
 )
 from socialpolls.model import PollInputError
 from socialpolls.oracle import achievable_scores_bf, margins_bf, possible_winner_bf
@@ -179,78 +176,46 @@ class TestTreeDecomposition:
     def test_validate_accepts_path_decomposition(self):
         g = Graph(3, [(0, 1), (1, 2)])
         td = TreeDecomposition((frozenset([0, 1]), frozenset([1, 2])), {(0, 1)})
-        validate_td(g, td)
+        validate_nice(g, make_nice(td))
         assert td.width == 1
 
     def test_violations(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        # vertex 2 missing
-        with pytest.raises(PollInputError):
-            validate_td(g, TreeDecomposition((frozenset([0, 1]),), set()))
-        # vertex 3 is not a vertex of g
-        with pytest.raises(PollInputError, match="bag 1 holds unknown vertex 3"):
-            validate_td(
-                g,
-                TreeDecomposition(
-                    (frozenset([0, 1]), frozenset([1, 2, 3])), {(0, 1)}
-                ),
-            )
-        # edge 1-2 in no bag
-        with pytest.raises(PollInputError):
-            validate_td(
-                g,
-                TreeDecomposition(
-                    (frozenset([0, 1]), frozenset([2])), {(0, 1)}
-                ),
-            )
-        # bags holding vertex 0 are not connected in the tree
-        with pytest.raises(PollInputError):
-            validate_td(
-                g,
-                TreeDecomposition(
-                    (
-                        frozenset([0, 1]),
-                        frozenset([1, 2]),
-                        frozenset([0, 2]),
-                    ),
-                    {(0, 1), (1, 2)},
-                ),
-            )
-        # vertex 0 sits at nodes 0, 1 and 3 of the bag path 0-1-2-3: its
-        # bags share one tree edge, where a connected set of three needs two
-        with pytest.raises(PollInputError, match="bags of vertex 0 are not connected"):
-            validate_td(
-                g,
-                TreeDecomposition(
-                    (
-                        frozenset([0, 1]),
-                        frozenset([0, 1, 2]),
-                        frozenset([1, 2]),
-                        frozenset([0, 2]),
-                    ),
-                    {(0, 1), (1, 2), (2, 3)},
-                ),
-            )
-        # tree edges form a cycle
-        with pytest.raises(PollInputError):
-            validate_td(
-                g,
-                TreeDecomposition(
-                    (
-                        frozenset([0, 1]),
-                        frozenset([1, 2]),
-                        frozenset([1]),
-                    ),
-                    {(0, 1), (1, 2), (0, 2)},
-                ),
-            )
+        cases = [
+            # vertex 2 missing
+            ([[0, 1]], [], "vertex 2 is not in any bag"),
+            # vertex 3 is not a vertex of g
+            ([[0, 1], [1, 2, 3]], [(0, 1)], "holds unknown vertex 3"),
+            # edge 1-2 in no bag
+            ([[0, 1], [2]], [(0, 1)], r"edge \(1, 2\) is not inside any bag"),
+            # bags holding vertex 0 are not connected in the tree
+            ([[0, 1], [1, 2], [0, 2]], [(0, 1), (1, 2)],
+             "bags of vertex 0 are not connected"),
+            # vertex 0 sits at nodes 0, 1 and 3 of the bag path 0-1-2-3: its
+            # bags share one tree edge, where a connected set of three needs two
+            ([[0, 1], [0, 1, 2], [1, 2], [0, 2]], [(0, 1), (1, 2), (2, 3)],
+             "bags of vertex 0 are not connected"),
+            # tree edges form a cycle
+            ([[0, 1], [1, 2], [1]], [(0, 1), (1, 2), (0, 2)], "bag graph is not a tree"),
+            # b - 1 tree edges, but they close a cycle and leave bag 3 apart
+            ([[0, 1], [1, 2], [1], [2]], [(0, 1), (1, 2), (0, 2)],
+             "bag graph is not connected"),
+            ([], [], "a decomposition needs at least one bag"),
+            # bags 2 and -1 do not exist
+            ([[0, 1], [1, 2]], [(0, 2)], r"tree edge \(0, 2\) is invalid"),
+            ([[0, 1], [1, 2]], [(-1, 0)], r"tree edge \(-1, 0\) is invalid"),
+            ([[0, 1], [1, 2]], [(1, 1)], r"tree edge \(1, 1\) is invalid"),
+        ]
+        for bags, tree_edges, match in cases:
+            td = TreeDecomposition(tuple(frozenset(b) for b in bags), set(tree_edges))
+            with pytest.raises(PollInputError, match=match):
+                validate_nice(g, make_nice(td))
 
     @given(st.integers(0, 400), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_heuristic_always_valid(self, seed, n):
         g = random_graph(seed, n, 0.4)
-        td = heuristic_td(g)
-        validate_td(g, td)
+        validate_nice(g, make_nice(heuristic_td(g)))
 
     def test_exact_widths(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -267,7 +232,7 @@ class TestTreeDecomposition:
     def test_exact_never_wider_than_heuristic(self, seed, n):
         g = random_graph(seed, n, 0.5)
         exact = exact_td_small(g)
-        validate_td(g, exact)
+        validate_nice(g, make_nice(exact))
         assert exact.width <= heuristic_td(g).width
 
 
@@ -308,7 +273,6 @@ def check_nice_with_empty_bags(inst, td):
     """The nice form of `td`, a decomposition of `inst` holding empty
     bags, is valid, has an empty leaf, and gives every DP program the
     brute-force answers (the count program where unweighted)."""
-    validate_td(inst.graph, td)
     ntd = make_nice(td)
     validate_nice(inst.graph, ntd)
     assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
@@ -396,28 +360,3 @@ class TestNiceForm:
         td = TreeDecomposition(td.bags + (frozenset(),),
                                td.tree_edges | {(0, len(td.bags))})
         check_nice_with_empty_bags(inst, td)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        td = heuristic_td(g)
-        again = parse_td(render_td(td))
-        assert again.bags == td.bags
-        assert again.tree_edges == td.tree_edges
-
-    def test_parse_diagnostics(self):
-        with pytest.raises(PollInputError):
-            parse_td("bag\n")
-        with pytest.raises(PollInputError):
-            parse_td("bag 0 1\nbag 0 2\n")
-        with pytest.raises(PollInputError):
-            parse_td("bag 0 1\ntreeedge 0\n")
-        with pytest.raises(PollInputError):
-            parse_td("hedge 0 1\n")
-        with pytest.raises(PollInputError):
-            parse_td("# only a comment\n")
-
-    def test_comments_ignored(self):
-        td = parse_td("bag 0 1 2  # the only bag\n")
-        assert td.bags == (frozenset([1, 2]),)

@@ -413,7 +413,8 @@ class TestRandomGenerator:
 
 class TestTextParsers:
     def test_dimacs_round_trip(self):
-        text = "c a comment\np cnf 3 2\n1 -2 3 0\n-1\n2 0\n% trailer\n"
+        # SATLIB files end with a '%' line and then a lone '0'
+        text = "c a comment\np cnf 3 2\n1 -2 3 0\n-1\n2 0\n%\n0\n"
         f = parse_dimacs(text)
         assert f.n_vars == 3
         assert f.clauses == ((1, -2, 3), (-1, 2))
