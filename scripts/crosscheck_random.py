@@ -8,8 +8,11 @@ is positive. Each trial then pads its instance with one friendless
 agent that backs a seeded candidate at weight total + 1 and runs the
 weighted and possible-winner checks on it too: there the DP's
 outside-agent bound empties the backed candidate's necessary sweep
-(YES) and every other candidate's possible sweep (NO). Prints one line
-per mismatch and a summary; exits 1 when any mismatch was found.
+(YES) and every other candidate's possible sweep (NO). Every DP answer
+is checked on two nice trees of the poll, from the min-fill and from
+the exact minimum-width decomposition, since a correct answer does not
+depend on the decomposition. Prints one line per mismatch and a
+summary; exits 1 when any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -26,7 +29,7 @@ from socialpolls.dpsolver import (
     necessary_winner_dp,
     possible_winner_dp,
 )
-from socialpolls.graphkit import heuristic_td, make_nice
+from socialpolls.graphkit import exact_td_small, heuristic_td, make_nice
 from socialpolls.model import AgentPrefs, Instance
 from socialpolls.oracle import (
     achievable_scores_bf,
@@ -36,40 +39,51 @@ from socialpolls.oracle import (
 )
 from socialpolls.reductions import gen_random
 
-
-def check_scores(inst, ntd):
-    mism = []
-    if achievable_scores_dp(inst, ntd) != achievable_scores_bf(inst):
-        mism.append("achievable sets differ")
-    return mism
+# exact_td_small's limit is 14 vertices, and the padded poll adds one
+MAX_AGENTS = 13
 
 
-def check_weighted(inst, ntd):
+def nice_trees(inst):
+    """(name, nice tree) pairs of the decompositions the DP is checked on."""
+    g = inst.graph
+    return [("min-fill", make_nice(heuristic_td(g))),
+            ("exact", make_nice(exact_td_small(g)))]
+
+
+def check_scores(inst, trees):
+    bf = achievable_scores_bf(inst)
+    return ["%s: achievable sets differ" % name
+            for name, ntd in trees if achievable_scores_dp(inst, ntd) != bf]
+
+
+def check_weighted(inst, trees):
     mism = []
     for c in inst.candidates:
         bf = margins_bf(inst, c)
-        # one sweep gives the margins of every rival d against c
-        for d, dp in margins_dp(inst, ntd, c).items():
-            if dp != bf[d]:
-                mism.append("margin(%s,%s): dp=%d bf=%d" % (d, c, dp, bf[d]))
         # the offender is the first rival, in candidate order, that can beat c
         first = next((d for d, margin in bf.items() if margin > 0), None)
         expected = (first is None, first)
-        dp = necessary_winner_dp(inst, ntd, c)
-        if dp != expected:
-            mism.append("necessary(%s): dp=%s bf=%s" % (c, dp, expected))
         if necessary_winner_bf(inst, c)[0] != expected[0]:
             mism.append("necessary(%s): bf decision disagrees with bf margins" % c)
+        for name, ntd in trees:
+            # one sweep gives the margins of every rival d against c
+            for d, dp in margins_dp(inst, ntd, c).items():
+                if dp != bf[d]:
+                    mism.append("%s: margin(%s,%s): dp=%d bf=%d" % (name, d, c, dp, bf[d]))
+            dp = necessary_winner_dp(inst, ntd, c)
+            if dp != expected:
+                mism.append("%s: necessary(%s): dp=%s bf=%s" % (name, c, dp, expected))
     return mism
 
 
-def check_possible(inst, ntd):
+def check_possible(inst, trees):
     mism = []
     for c in inst.candidates:
-        dp = possible_winner_dp(inst, ntd, c)
         bf = possible_winner_bf(inst, c)[0]
-        if dp != bf:
-            mism.append("possible(%s): dp=%s bf=%s" % (c, dp, bf))
+        for name, ntd in trees:
+            dp = possible_winner_dp(inst, ntd, c)
+            if dp != bf:
+                mism.append("%s: possible(%s): dp=%s bf=%s" % (name, c, dp, bf))
     return mism
 
 
@@ -92,6 +106,9 @@ def main(argv=None):
     ap.add_argument("--weighted", action="store_true")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
+    if args.max_agents > MAX_AGENTS:
+        ap.error("--max-agents is at most %d: every trial also runs an exact "
+                 "decomposition of the padded poll" % MAX_AGENTS)
 
     rng = random.Random(args.seed)
     # a second stream, so that the instances drawn match those of runs
@@ -111,16 +128,16 @@ def main(argv=None):
             )
             if len(inst.graph.edges) <= args.max_edges:
                 break
-        ntd = make_nice(heuristic_td(inst.graph))
-        mism = check_scores(inst, ntd)
+        trees = nice_trees(inst)
+        mism = check_scores(inst, trees)
         if args.weighted:
-            mism += check_weighted(inst, ntd)
-        mism += check_possible(inst, ntd)
+            mism += check_weighted(inst, trees)
+        mism += check_possible(inst, trees)
         backed = backed_rng.choice(inst.candidates)
         padded = with_backer(inst, backed)
-        pad_ntd = make_nice(heuristic_td(padded.graph))
+        pad_trees = nice_trees(padded)
         mism += ["padded for %s: %s" % (backed, line)
-                 for line in check_weighted(padded, pad_ntd) + check_possible(padded, pad_ntd)]
+                 for line in check_weighted(padded, pad_trees) + check_possible(padded, pad_trees)]
         if mism:
             bad += 1
             for line in mism:

@@ -327,17 +327,24 @@ class NiceTreeDecomposition:
 def make_nice(td):
     """Rewrite a tree decomposition into nice form.
 
-    The bag tree is rooted at bag 0 and traversed iteratively. Each
-    original bag becomes a leaf-plus-insert chain or, for inner nodes,
-    per-child forget/insert chains folded together by joins; a final
-    forget chain empties the root bag. Width never grows and the node
-    count stays linear in the input size. A bag graph that is not a tree
-    is refused, so `validate_nice(g, make_nice(td))` checks that `td` is
-    a tree decomposition of `g`.
+    The bag tree is rooted at bag 0 and traversed iteratively. A leaf bag
+    becomes a leaf-plus-insert chain. An inner bag joins its children on
+    `meet`, the vertices it shares with any child: each child is chained
+    to `meet`, the chains are folded together by joins on `meet`, and the
+    bag's other vertices, which lie in no child's subtree, are inserted
+    once above the last join. A final forget chain empties the root bag.
+    Width never grows and the node count stays linear in the input size.
+    A bag graph that is not a tree, or a bag holding a non-integer
+    vertex, is refused, so `validate_nice(g, make_nice(td))` checks that
+    `td` is a tree decomposition of `g`.
     """
     b = len(td.bags)
     if b == 0:
         raise PollInputError("a decomposition needs at least one bag")
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not isinstance(v, int):
+                raise PollInputError("bag %d holds non-integer vertex %r" % (i, v))
     if len(td.tree_edges) != b - 1:
         raise PollInputError("bag graph is not a tree")
     nbrs = [[] for _ in range(b)]
@@ -388,11 +395,12 @@ def make_nice(td):
             first = {min(bag)} if bag else set()
             done[u] = chain_to(emit("leaf", sorted(first)), first, bag)
             continue
-        parts = [chain_to(done[c], td.bags[c], bag) for c in children[u]]
+        meet = frozenset().union(*(td.bags[c] & bag for c in children[u]))
+        parts = [chain_to(done[c], td.bags[c], meet) for c in children[u]]
         cur = parts[0]
         for nxt in parts[1:]:
-            cur = emit("join", sorted(bag), (cur, nxt))
-        done[u] = cur
+            cur = emit("join", sorted(meet), (cur, nxt))
+        done[u] = chain_to(cur, meet, bag)
     root = chain_to(done[0], td.bags[0], frozenset())
     return NiceTreeDecomposition(nodes=tuple(nodes), root=root)
 

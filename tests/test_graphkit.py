@@ -27,7 +27,7 @@ from socialpolls.graphkit import (
     make_nice,
     validate_nice,
 )
-from socialpolls.model import PollInputError
+from socialpolls.model import AgentPrefs, Instance, PollInputError
 from socialpolls.oracle import achievable_scores_bf, margins_bf, possible_winner_bf
 from socialpolls.reductions import gen_random
 
@@ -269,13 +269,9 @@ def with_empty_bags(td, rng):
     return TreeDecomposition(tuple(bags), frozenset(edges))
 
 
-def check_nice_with_empty_bags(inst, td):
-    """The nice form of `td`, a decomposition of `inst` holding empty
-    bags, is valid, has an empty leaf, and gives every DP program the
-    brute-force answers (the count program where unweighted)."""
-    ntd = make_nice(td)
-    validate_nice(inst.graph, ntd)
-    assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
+def check_against_bf(inst, ntd):
+    """Every DP program on `ntd` gives the brute-force answers of `inst`
+    (the count program where unweighted)."""
     if inst.is_unweighted():
         assert achievable_scores_dp(inst, ntd) == achievable_scores_bf(inst)
     for c in inst.candidates:
@@ -284,7 +280,51 @@ def check_nice_with_empty_bags(inst, td):
         first = next((d for d, margin in bf.items() if margin > 0), None)
         assert necessary_winner_dp(inst, ntd, c) == (first is None, first)
         assert possible_winner_dp(inst, ntd, c) == possible_winner_bf(inst, c)[0]
+
+
+def check_nice_with_empty_bags(inst, td):
+    """The nice form of `td`, a decomposition of `inst` holding empty
+    bags, is valid, has an empty leaf, and gives every DP program the
+    brute-force answers."""
+    ntd = make_nice(td)
+    validate_nice(inst.graph, ntd)
+    assert any(nd.kind == "leaf" and not nd.bag for nd in ntd.nodes)
+    check_against_bf(inst, ntd)
     return ntd
+
+
+def nice_node_counts(td):
+    """From the bags alone: the node count of `td`'s nice form when every
+    child is chained up to its whole parent bag, and what joining an
+    inner bag's children on `meet`, the vertices it shares with them,
+    saves, (children - 1) * |bag - meet| per inner bag."""
+    nbrs = [set() for _ in td.bags]
+    for i, j in td.tree_edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    parent = {0: None}
+    order = [0]
+    for x in order:
+        for y in nbrs[x] - parent.keys():
+            parent[y] = x
+            order.append(y)
+    per_child, saving = len(td.bags[0]), 0
+    for u, bag in enumerate(td.bags):
+        kids = nbrs[u] - {parent[u]}
+        if not kids:
+            per_child += max(len(bag), 1)
+            continue
+        per_child += len(kids) - 1 + sum(len(bag ^ td.bags[c]) for c in kids)
+        meet = frozenset().union(*(bag & td.bags[c] for c in kids))
+        saving += (len(kids) - 1) * len(bag - meet)
+    return per_child, saving
+
+
+def poll(edges, agents):
+    """A poll over a, b and c, distinguished a, from (top, preferred,
+    weight) triples."""
+    return Instance(("a", "b", "c"), tuple(AgentPrefs(*a) for a in agents),
+                    edges, "a")
 
 
 class TestNiceForm:
@@ -297,6 +337,52 @@ class TestNiceForm:
         validate_nice(g, ntd)
         assert ntd.width <= td.width
         assert ntd.nodes[ntd.root].bag == ()
+
+    @given(st.integers(0, 400), st.integers(1, 9), st.sampled_from([0.1, 0.3, 0.6, "forest"]),
+           st.sampled_from(["heuristic", "exact", "empty bags"]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_node_count_and_width(self, seed, n, p, source):
+        # sparse graphs and forests leave agents friendless and the graph
+        # disconnected
+        g = random_forest(seed, n) if p == "forest" else random_graph(seed, n, p)
+        td = exact_td_small(g) if source == "exact" else heuristic_td(g)
+        if source == "empty bags":
+            td = with_empty_bags(td, random.Random(seed))
+        ntd = make_nice(td)
+        validate_nice(g, ntd)
+        assert ntd.width <= td.width
+        per_child, saving = nice_node_counts(td)
+        assert len(ntd.nodes) == per_child - saving <= per_child
+
+    @pytest.mark.parametrize("inst, kinds, joins", [
+        # the tree 0-1, 1-2, 1-5, 2-3, 2-4: bag (1, 2) joins its children
+        # (2, 3) and (2, 4) on (2,), and 1 is inserted once above the join
+        (poll([(0, 1), (1, 2), (1, 5), (2, 3), (2, 4)],
+              [("a", "ab", 1), ("b", "bc", 1), ("c", "ac", 1),
+               ("a", "ac", 1), ("b", "ab", 1), ("c", "bc", 1)]),
+         "LILIFFJILFIIJFIFF", [(2,), (1, 5)]),
+        # bag (2,) shares no vertex with its children (1,) and (3,), so
+        # they join on () and 2 is inserted once above the join
+        (poll([(0, 2)], [("a", "ab", 2), ("b", "bc", 1), ("b", "ab", 3), ("c", "ac", 1)]),
+         "LLFFJIIFF", [()]),
+    ])
+    def test_children_join_on_shared_vertices(self, inst, kinds, joins):
+        ntd = make_nice(heuristic_td(inst.graph))
+        validate_nice(inst.graph, ntd)
+        assert "".join(nd.kind[0].upper() for nd in ntd.nodes) == kinds
+        assert [nd.bag for nd in ntd.nodes if nd.kind == "join"] == joins
+        check_against_bf(inst, ntd)
+
+    @pytest.mark.parametrize("bags, tree_edges, match", [
+        ([(0, 1, "a")], [], "bag 0 holds non-integer vertex 'a'"),
+        ([(0, 1), (None, 0, 1)], [(0, 1)], "bag 1 holds non-integer vertex None"),
+    ])
+    def test_non_integer_vertex(self, bags, tree_edges, match):
+        # refused before make_nice sorts a bag, where mixed types raise
+        # TypeError
+        td = TreeDecomposition(tuple(frozenset(b) for b in bags), set(tree_edges))
+        with pytest.raises(PollInputError, match=match):
+            make_nice(td)
 
     @pytest.mark.parametrize("g, ntd, match", [
         (STAR, NiceTreeDecomposition((), 0), "needs at least one node"),
