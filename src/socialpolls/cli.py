@@ -328,8 +328,7 @@ def _solve(inst, args, method, trace, td):
     else:
         answer, offender = necessary_winner_dp(inst, ntd, args.candidate, args.max_table,
                                                trace, stats)
-    # a single-candidate poll has no rival, so no sweep runs
-    extra = ["width: %d" % td.width, "table-entries: %d" % stats.get("entries", 0)]
+    extra = ["width: %d" % td.width, "table-entries: %d" % stats["entries"]]
     if offender is not None:
         extra.append("offending-candidate: %s" % offender)
     return answer, None, extra
@@ -403,7 +402,7 @@ def _cmd_td(args):
 
 def _cmd_gen(args):
     if args.generator == "partition":
-        p = reductions.parse_partition_numbers(args.numbers.replace(",", " "))
+        p = reductions.parse_partition_numbers(args.numbers)
         inst = reductions.gen_partition_wpw(p, big_b=args.big_b)
     elif args.generator == "hitting-set":
         h = _load_instance(

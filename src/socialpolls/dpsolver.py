@@ -19,11 +19,12 @@ With flat counters a join adds two keys' counters with one `map`, a
 forget drops one contiguous slice, and an insert splices in the new
 agent's row and bumps the fields of its friends voting after it by
 deltas precomputed once per place of the new agent in the child's
-order. A leaf seeds the empty state `((), (), ())` and inserts its
-agent, if any, into it. Everything a sweep knows about a bag apart from
-its keys (row offsets, unseen friends, degree caps) is built once per
-sweep, bottom up, as one `_BagRecord` per nice node, which the
-transitions and the checker read.
+order. Leaves are empty (see `graphkit`), so a leaf holds the empty
+state `((), (), ())` alone and an agent enters the tables only at an
+insert. Everything a sweep knows about a bag apart from its keys (row
+offsets, unseen friends, degree caps) is built once per sweep, bottom
+up, as one `_BagRecord` per nice node, which the transitions and the
+checker read.
 
 Every program's slice maps a key `(v, D, c)` to one payload container,
 and the programs differ only in that container and in three functions
@@ -42,7 +43,8 @@ so it handles arbitrary weights and any number of candidates; its
 slices map `(v, D, c)` to that payload. The key set does not depend on
 the pair, and keys, transitions and the join's double-count correction
 are additive given the key, so each coordinate is the single-pair
-program and one sweep gives every margin against c.
+program and one sweep gives every margin against c. A poll with one
+candidate gives c no rival, and its sweeps carry zero-length vectors.
 
 The possible-winner program keeps the same margin vectors unmaximized,
 as a Pareto front: its slices map `(v, D, c)` to the list of vectors
@@ -56,7 +58,7 @@ Dead states are pruned where they are made. A bag record gives, per
 bag agent x, the number r of x's friends outside the vertices of the
 node's subtree; they may still vote before x, and no other friend
 can. A state is dead when no such future can make x's row agree with
-x's vote (`_live`), and no leaf, insert or join node stores one. At
+x's vote (`_live`), and no insert or join node stores one. At
 the forget node of x every friend is seen (r = 0), so the bound is
 then exactly the voting rule and the forget node tests nothing.
 
@@ -142,7 +144,7 @@ class _BagRecord(NamedTuple):
 
     bag: tuple
     off: tuple  # where each agent's row starts in `c`, then the length of `c`
-    unseen: tuple  # per agent, its friends outside the subtree, or None
+    unseen: tuple  # per agent, its friends outside the subtree
     inner: tuple  # positions of the agents whose friends all lie in the bag
     outer: tuple  # positions of the others
     caps: tuple  # per agent: its degree once per field if outer, else None
@@ -150,7 +152,7 @@ class _BagRecord(NamedTuple):
     neg: tuple  # the outside-agent bound (module docstring), or None
 
 
-def _bag_record(alts, friends, bag, unseen, neg=None):
+def _bag_record(alts, friends, bag, unseen, neg):
     bagset = frozenset(bag)
     off, inner, outer, caps, sums = [0], [], [], [], []
     for k, x in enumerate(bag):
@@ -167,9 +169,6 @@ def _bag_record(alts, friends, bag, unseen, neg=None):
                       tuple(sums), neg)
 
 
-_EMPTY_BAG = _bag_record((), (), (), ())
-
-
 def _plus(p, q):
     return tuple(map(add, p, q))
 
@@ -180,16 +179,15 @@ def _bags(ntd, alts, friends, edge=None, total=None):
     node's subtree, so one pass bottom up gives them all; a record is
     kept only until its parent's is built. With per-agent rows `edge`
     and their sum `total`, the same pass sums `edge` over the subtree
-    and stores that sum minus `total` as `neg`; without, `neg` is None."""
+    and stores that sum minus `total` as `neg`; without, `neg` is None.
+    A leaf's subtree holds no agent."""
     waiting = {}
     for i, nd in enumerate(ntd.nodes):
         neg = None
         if nd.kind == "leaf":
-            row = tuple(len(friends[x]) for x in nd.bag)
+            row = ()
             if edge is not None:
                 neg = tuple(-t for t in total)
-                for x in nd.bag:
-                    neg = _plus(neg, edge[x])
         elif nd.kind == "join":
             # the two subtrees share only the bag, so a friend outside
             # the bag that neither side has seen is missed by both
@@ -222,27 +220,27 @@ def _bags(ntd, alts, friends, edge=None, total=None):
 
 def _rules(tables, rec, v, positions):
     """The voting-rule bound of each agent of bag record `rec`, with
-    votes `v`, at a position in `positions` whose unseen count r is not
-    None. Those r friends may each still vote before the agent, raising
-    its `a` field and at most one `s` field by one. So it is dead when
-    it votes its top and 2·s_j > a + r for some j, or when it votes the
-    alternative j and 2·s_j + r <= a; with r = 0 this is the voting
-    rule itself. Each bound is (f, i, low, high), for `_live`: the agent
-    is alive while low <= 2·c[f] - c[i] <= high, where c[i] is its `a`
-    field and c[f] one of its `s` fields."""
+    votes `v`, at a position in `positions`, whose unseen count is r.
+    Those r friends may each still vote before the agent, raising its
+    `a` field and at most one `s` field by one. So it is dead when it
+    votes its top and 2·s_j > a + r for some j, or when it votes the
+    alternative j and 2·s_j + r <= a; with r = 0 this is the voting rule
+    itself, and with r = `_NO_BOUND` no bound at all. Each bound is (f,
+    i, low, high), for `_live`: the agent is alive while low <= 2·c[f] -
+    c[i] <= high, where c[i] is its `a` field and c[f] one of its `s`
+    fields."""
     top, alts = tables[1], tables[2]
     bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = []
     for k in positions:
         r = unseen[k]
-        if r is not None:
-            x = bag[k]
-            ai = off[k + 1] - 1
-            if v[k] == top[x]:
-                for f in range(off[k], ai):
-                    out.append((f, ai, -_NO_BOUND, r))
-            else:
-                out.append((off[k] + alts[x].index(v[k]), ai, 1 - r, _NO_BOUND))
+        x = bag[k]
+        ai = off[k + 1] - 1
+        if v[k] == top[x]:
+            for f in range(off[k], ai):
+                out.append((f, ai, -_NO_BOUND, r))
+        else:
+            out.append((off[k] + alts[x].index(v[k]), ai, 1 - r, _NO_BOUND))
     return out
 
 
@@ -264,10 +262,10 @@ def _keys_compatible(tables, rec, items, kind):
     hold at least one vector, or one "margin" vector. Every count vector
     must hold at least the bag agents' own weighted votes and sum to at
     most the total weight. The record's unseen counts give the bound of
-    `_live`, skipped where None, and its `neg`, where not None, the
-    outside-agent bound: a margin vector must exceed it in some
-    coordinate and a front vector must not exceed it in any. The checker
-    reads only that static record, never what a transition computed.
+    `_live`, and its `neg`, where not None, the outside-agent bound: a
+    margin vector must exceed it in some coordinate and a front vector
+    must not exceed it in any. The checker reads only that static record,
+    never what a transition computed.
 
     The conditions on v alone are checked once per distinct v, and
     those on D alone once per distinct D. The bounds that v and D put
@@ -366,8 +364,9 @@ class _Engine:
     and a right vector. None of them changes a container in place, since
     an insert stores one container under several keys. `_size` counts
     the stored (key, vector) pairs. `run` builds each node's bag record
-    once, in the same pass, and a leaf is an insert into the empty
-    state.
+    once, in the same pass; a leaf holds the empty state alone, and the
+    last node is the root. With no rival the vectors have no
+    coordinates, and the sweep runs as any other.
 
     With `bounded` (margin or front mode) the sweep prunes by the
     outside-agent bound of the module docstring: `edge` holds each
@@ -499,9 +498,7 @@ class _Engine:
         for i, (nd, rec) in enumerate(zip(self.ntd.nodes, recs)):
             if nd.kind == "leaf":
                 sl = {((), (), ()): self.start}
-                if nd.bag:
-                    sl = self._insert(rec, _EMPTY_BAG, sl, nd.bag[0])
-                elif rec.neg is not None and self._cut(self.start, rec.neg) is None:
+                if rec.neg is not None and self._cut(self.start, rec.neg) is None:
                     sl = {}
             elif nd.kind == "join":
                 left, right = (done.pop(k)[1] for k in nd.children)
@@ -526,10 +523,10 @@ class _Engine:
                 self.stats["entries"] = self.stats.get("entries", 0) + size
             if self.trace is not None:
                 self.trace.append((i, nd.kind, size))
-        root = done[self.ntd.root][1]
-        if not root and self._cut is None:
+        # `sl` is the last node's slice, the root's
+        if not sl and self._cut is None:
             raise AssertionError("empty root table; the sweep lost all states")
-        return root
+        return sl
 
     def _insert(self, rec, crec, child, x):
         """Agent x joins the child's bag (record `crec`), giving `rec`."""
@@ -692,15 +689,12 @@ def _rival_sweep(inst, ntd, c, front, bounded, max_table, trace, stats):
     """The candidates other than `c`, in candidate order, and the root
     slice of one sweep whose payloads hold their margins against `c`
     (margin or front mode), pruned by the outside-agent bound when
-    `bounded`. No sweep runs without a rival, and the root is then
-    None."""
+    `bounded`."""
     index = inst.candidate_index
     if c not in index:
         raise PollInputError("unknown candidate %r" % (c,))
     validate_nice(inst.graph, ntd)
     rivals = tuple(d for d in inst.candidates if d != c)
-    if not rivals:
-        return rivals, None
     return rivals, _Engine(inst, ntd, tuple(index[d] for d in rivals), index[c], front,
                            bounded, max_table, trace, stats).run()
 
@@ -713,7 +707,7 @@ def possible_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, st
     means no."""
     _, root = _rival_sweep(inst, ntd, c, front=True, bounded=True, max_table=max_table,
                            trace=trace, stats=stats)
-    return root is None or bool(root)
+    return bool(root)
 
 
 def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None):
@@ -721,8 +715,6 @@ def margins_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, stats=None
     other candidate d, in candidate order, from one sweep. Any weights."""
     rivals, root = _rival_sweep(inst, ntd, c, front=False, bounded=False,
                                 max_table=max_table, trace=trace, stats=stats)
-    if root is None:
-        return {}
     if len(root) != 1:
         raise AssertionError("margin root table should hold exactly one value")
     return dict(zip(rivals, next(iter(root.values()))))
@@ -740,7 +732,7 @@ def necessary_winner_dp(inst, ntd, c, max_table=DEFAULT_MAX_TABLE, trace=None, s
     rivals, root = _rival_sweep(inst, ntd, c, front=False, bounded=True,
                                 max_table=max_table, trace=trace, stats=stats)
     # the root bag is empty, so the root holds at most one key
-    for payload in (root or {}).values():
+    for payload in root.values():
         for d, margin in zip(rivals, payload):
             if margin > 0:
                 return False, d

@@ -6,12 +6,14 @@ keeps working. `graph_of(inst)` returns `inst.graph` and stays only for
 `benchmark/make_pool.py`. Provides connected components, enumeration of
 acyclic orientations, counting of labeled DAGs, tree decompositions (a
 min-fill heuristic and an exact search for small graphs), and conversion
-to the nice form the dynamic programs consume. A decomposition is
-checked once, on its nice form: `make_nice` refuses a bag graph that is
-not a tree, and with an empty root bag the nodes holding a vertex form
-one subtree per forget of that vertex, so `validate_nice` reads vertex
-coverage, connectivity and edge coverage off the forget nodes. Text
-formats live in `cli`.
+to the nice form the dynamic programs consume: the textbook one, with
+empty leaves and an empty root, so that a vertex enters the bags only
+at an insert node and leaves them only at a forget node. A decomposition
+is checked once, on its nice form: `make_nice` refuses a bag graph that
+is not a tree, and with an empty root bag the nodes holding a vertex
+form one subtree per forget of that vertex, so `validate_nice` reads
+vertex coverage, connectivity and edge coverage off the forget nodes.
+Text formats live in `cli`.
 """
 
 from __future__ import annotations
@@ -312,12 +314,11 @@ class NiceNode:
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
-    """Nodes listed children first; the root is the last node and has an
-    empty bag. Leaves hold at most one vertex, insert and forget nodes
-    change their child's bag by one vertex, joins copy it twice."""
+    """Nodes listed children first; the root is the last node. Leaves and
+    the root have empty bags, insert and forget nodes change their
+    child's bag by one vertex, joins copy it twice."""
 
     nodes: tuple
-    root: int
 
     @property
     def width(self):
@@ -327,12 +328,13 @@ class NiceTreeDecomposition:
 def make_nice(td):
     """Rewrite a tree decomposition into nice form.
 
-    The bag tree is rooted at bag 0 and traversed iteratively. A leaf bag
-    becomes a leaf-plus-insert chain. An inner bag joins its children on
-    `meet`, the vertices it shares with any child: each child is chained
-    to `meet`, the chains are folded together by joins on `meet`, and the
-    bag's other vertices, which lie in no child's subtree, are inserted
-    once above the last join. A final forget chain empties the root bag.
+    The bag tree is rooted at bag 0 and traversed iteratively. Every bag
+    is built one way from `meet`, the vertices it shares with any child:
+    each child is chained to `meet`, the chains are folded together by
+    joins on `meet`, and the bag's other vertices, which lie in no
+    child's subtree, are inserted once above the last join. A bag without
+    children starts from one empty leaf, with `meet` empty. A final
+    forget chain empties the root bag.
     Width never grows and the node count stays linear in the input size.
     A bag graph that is not a tree, or a bag holding a non-integer
     vertex, is refused, so `validate_nice(g, make_nice(td))` checks that
@@ -391,59 +393,50 @@ def make_nice(td):
     done = {}
     for u in reversed(topo):
         bag = td.bags[u]
-        if not children[u]:
-            first = {min(bag)} if bag else set()
-            done[u] = chain_to(emit("leaf", sorted(first)), first, bag)
-            continue
         meet = frozenset().union(*(td.bags[c] & bag for c in children[u]))
         parts = [chain_to(done[c], td.bags[c], meet) for c in children[u]]
-        cur = parts[0]
+        cur = parts[0] if parts else emit("leaf", ())
         for nxt in parts[1:]:
             cur = emit("join", sorted(meet), (cur, nxt))
         done[u] = chain_to(cur, meet, bag)
-    root = chain_to(done[0], td.bags[0], frozenset())
-    return NiceTreeDecomposition(nodes=tuple(nodes), root=root)
+    chain_to(done[0], td.bags[0], frozenset())
+    return NiceTreeDecomposition(nodes=tuple(nodes))
 
 
 def validate_nice(g, ntd):
     """Check shape rules of a nice decomposition and that it is a valid
     decomposition of `g`; raise otherwise.
 
-    Once the shape rules hold, the decomposition is read off its leaves,
-    inserts and forgets. Bags gain vertices only at leaves and inserts,
-    so checking the vertices those bring in checks every bag. Going up
-    the tree a vertex leaves the bags only at a forget of it, and the
-    root bag is empty, so the nodes holding v form one subtree per forget
-    of v, topped by that forget's child: v is in some bag exactly when it
-    is forgotten, and its bags are connected exactly when it is forgotten
-    once. Two such subtrees meet only if the top of one lies in the
-    other, so edge (u, v) is inside a bag exactly when v is in the bag
-    of u's forget child or u in that of v's.
+    Once the shape rules hold, the decomposition is read off its inserts
+    and forgets. Leaves are empty and bags gain vertices only at inserts,
+    so checking the vertex each insert brings in checks every bag, and
+    the shape rules, all set equalities, hold each bag to its child's.
+    Going up the tree a vertex leaves the bags only at a forget of it,
+    and the root bag is empty, so the nodes holding v form one subtree
+    per forget of v, topped by that forget's child: v is in some bag
+    exactly when it is forgotten, and its bags are connected exactly
+    when it is forgotten once. Two such subtrees meet only if the top of
+    one lies in the other, so edge (u, v) is inside a bag exactly when v
+    is in the bag of u's forget child or u in that of v's.
     """
     nodes = ntd.nodes
     if not nodes:
         raise PollInputError("a nice decomposition needs at least one node")
-    if ntd.root != len(nodes) - 1:
-        raise PollInputError("root must be the last node")
-    if nodes[ntd.root].bag != ():
+    if nodes[-1].bag != ():
         raise PollInputError("root bag must be empty")
     used = set()
     top = {}    # vertex -> child of its forget node
     for i, nd in enumerate(nodes):
-        if list(nd.bag) != sorted(set(nd.bag)):
-            raise PollInputError("node %d bag is not sorted and duplicate-free" % i)
         for c in nd.children:
-            if not (0 <= c < i):
+            if not (isinstance(c, int) and 0 <= c < i):
                 raise PollInputError("node %d child %r does not precede it" % (i, c))
             if c in used:
                 raise PollInputError("node %r has two parents" % (c,))
             used.add(c)
         bag = set(nd.bag)
-        new = ()
         if nd.kind == "leaf":
-            if nd.children or len(nd.bag) > 1:
+            if nd.children or nd.bag:
                 raise PollInputError("leaf node %d is malformed" % i)
-            new = nd.bag
         elif nd.kind in ("insert", "forget"):
             if len(nd.children) != 1 or nd.vertex is None:
                 raise PollInputError("%s node %d is malformed" % (nd.kind, i))
@@ -451,7 +444,8 @@ def validate_nice(g, ntd):
             if nd.kind == "insert":
                 if nd.vertex in child or bag != child | {nd.vertex}:
                     raise PollInputError("insert node %d does not add its vertex" % i)
-                new = (nd.vertex,)
+                if not (isinstance(nd.vertex, int) and 0 <= nd.vertex < g.n):
+                    raise PollInputError("node %d holds unknown vertex %r" % (i, nd.vertex))
             else:
                 if nd.vertex not in child or bag != child - {nd.vertex}:
                     raise PollInputError("forget node %d does not drop its vertex" % i)
@@ -466,10 +460,9 @@ def validate_nice(g, ntd):
                     raise PollInputError("join node %d changes the bag" % i)
         else:
             raise PollInputError("unknown node kind %r" % (nd.kind,))
-        for v in new:
-            if not (isinstance(v, int) and 0 <= v < g.n):
-                raise PollInputError("node %d holds unknown vertex %r" % (i, v))
-    if used != set(range(len(nodes))) - {ntd.root}:
+        if list(nd.bag) != sorted(bag):
+            raise PollInputError("node %d bag is not sorted and duplicate-free" % i)
+    if used != set(range(len(nodes) - 1)):
         raise PollInputError("tree is not connected through the root")
     for v in range(g.n):
         if v not in top:

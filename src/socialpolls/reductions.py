@@ -338,7 +338,7 @@ def _normalize_cnf(f):
     return clauses
 
 
-def _propagate(n_vars, clauses):
+def _propagate(clauses):
     """Unit propagation and pure-literal elimination to a fixed point.
 
     Returns the surviving clauses over the original variable numbers.
@@ -414,7 +414,7 @@ def _prepare_cnf(f, preprocess):
     """
     clauses = _normalize_cnf(f)
     if preprocess:
-        clauses = _propagate(f.n_vars, clauses)
+        clauses = _propagate(clauses)
         alive = sorted({abs(lit) for cl in clauses for lit in cl})
         var_map = {v: i + 1 for i, v in enumerate(alive)}
     else:

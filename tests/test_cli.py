@@ -195,7 +195,10 @@ class TestDecisionCommands:
 
     @pytest.mark.parametrize("method", ["dp", "auto"])
     @pytest.mark.parametrize("question", ["necessary", "possible"])
-    def test_single_candidate_runs_no_sweep(self, capsys, tmp_path, question, method):
+    def test_single_candidate_sweeps_with_no_rival(self, capsys, tmp_path, question, method):
+        # the vectors have no coordinates; necessary's outside-agent
+        # bound, which no rival can pass, empties the leaf
+        entries = 0 if question == "necessary" else 1
         single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
         path = save(tmp_path, single)
         code, out, err = run(
@@ -205,8 +208,12 @@ class TestDecisionCommands:
         assert code == 0, err
         assert "decision: YES" in out
         assert "method: dp" in out
-        assert "table-entries: 0" in out
-        assert "node " not in out
+        assert "table-entries: %d" % (3 * entries) in out
+        assert [line for line in out.splitlines() if line.startswith("node ")] == [
+            "node 0 type leaf entries %d" % entries,
+            "node 1 type insert entries %d" % entries,
+            "node 2 type forget entries %d" % entries,
+        ]
 
     @pytest.mark.parametrize("candidate, decision", [("a", "NO"), ("b", "YES"), ("c", "YES")])
     def test_possible_dp_on_weighted_poll(self, capsys, tmp_path, candidate, decision):
@@ -417,23 +424,28 @@ class TestScoresCommand:
                           ((0, 1), (1, 2), (2, 3), (0, 3)), "a"),
     }
 
-    @pytest.mark.parametrize("poll, question, kinds, entries", [
-        ("INST", "scores", "LILIFIFIJIFFIFF",
-         (3, 6, 3, 6, 6, 22, 6, 22, 28, 56, 40, 21, 20, 14, 10)),
-        ("INST", "necessary", "LILIFIFIJIFFIFF",
-         (3, 6, 3, 6, 6, 20, 6, 20, 24, 52, 32, 12, 6, 3, 1)),
-        ("STAR", "scores", "LILILFIFIFIIJJFIFF",
-         (2, 4, 2, 4, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
-        ("STAR", "necessary", "LILILFIFIFIIJJFIFF",
-         (2, 4, 2, 4, 1, 1, 2, 4, 6, 4, 3, 4, 4, 4, 3, 4, 2, 1)),
-        ("INST", "possible", "LILIFIFIJIFFIFF",
-         (3, 6, 3, 6, 6, 22, 6, 22, 16, 20, 13, 4, 6, 2, 1)),
-        ("STAR", "possible", "LILILFIFIFIIJJFIFF",
-         (2, 4, 2, 4, 1, 1, 2, 4, 6, 4, 6, 4, 8, 8, 6, 8, 2, 1)),
-        ("CYCLE", "scores", "LIIFIFFF", (3, 10, 36, 36, 18, 16, 9, 4)),
-        ("CYCLE", "necessary", "LIIFIFFF", (3, 8, 31, 31, 7, 6, 4, 1)),
-        ("CYCLE", "possible", "LIIFIFFF", (3, 10, 19, 19, 11, 10, 4, 1)),
-    ])
+    ROWS = [
+        ("INST", "scores", "LIILIIFIFIJIFFIFF",
+         (1, 3, 6, 1, 3, 6, 6, 22, 6, 22, 28, 56, 40, 21, 20, 14, 10)),
+        ("INST", "necessary", "LIILIIFIFIJIFFIFF",
+         (1, 3, 6, 1, 3, 6, 6, 20, 6, 20, 24, 52, 32, 12, 6, 3, 1)),
+        ("STAR", "scores", "LIILIILIFIFIFIIJJFIFF",
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
+        ("STAR", "necessary", "LIILIILIFIFIFIIJJFIFF",
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 6, 4, 3, 4, 4, 4, 3, 4, 2, 1)),
+        ("INST", "possible", "LIILIIFIFIJIFFIFF",
+         (1, 3, 6, 1, 3, 6, 6, 22, 6, 22, 16, 20, 13, 4, 6, 2, 1)),
+        ("STAR", "possible", "LIILIILIFIFIFIIJJFIFF",
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 6, 4, 6, 4, 8, 8, 6, 8, 2, 1)),
+        ("CYCLE", "scores", "LIIIFIFFF", (1, 3, 10, 36, 36, 18, 16, 9, 4)),
+        ("CYCLE", "necessary", "LIIIFIFFF", (1, 3, 8, 31, 31, 7, 6, 4, 1)),
+        ("CYCLE", "possible", "LIIIFIFFF", (1, 3, 10, 19, 19, 11, 10, 4, 1)),
+    ]
+
+    # ids name the poll and question alone, so that new rows keep the
+    # test's name
+    @pytest.mark.parametrize("poll, question, kinds, entries", ROWS,
+                             ids=["%s-%s" % case[:2] for case in ROWS])
     def test_dump_table_rows(self, capsys, tmp_path, poll, question, kinds, entries):
         path = save(tmp_path, self.POLLS[poll])
         extra = ("--candidate", "a") if question != "scores" else ()
@@ -467,6 +479,43 @@ class TestTdCommand:
         assert "exact-width: 1" in out
         assert [l for l in out.splitlines() if l.startswith(("bag ", "treeedge "))] == [
             "bag 0 0 1", "bag 1 1 2", "bag 2 2", "treeedge 0 1", "treeedge 1 2",
+        ]
+
+
+class TestEmptyPoll:
+    # two candidates and no agents: the decomposition is one empty bag,
+    # and its nice form one empty leaf that is also the root
+    EMPTY = Instance(("a", "b"), (), frozenset(), "a")
+
+    @pytest.mark.parametrize("method", ["dp", "bf", "auto"])
+    @pytest.mark.parametrize("question, answer, entries", [
+        (("scores",), ["count: 1", "set 1: a=0 b=0"], 1),
+        (("possible", "--candidate", "a"), ["decision: YES"], 1),
+        # no rival can pass the outside-agent bound, so the leaf is empty
+        (("necessary", "--candidate", "a"), ["decision: YES"], 0),
+    ])
+    def test_questions(self, capsys, tmp_path, question, answer, entries, method):
+        path = save(tmp_path, self.EMPTY)
+        code, out, err = run(capsys, *question, "--instance", path, "--method", method,
+                             "--cross-check", "--dump-table")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "cross-check: ok" in lines
+        assert all(line in lines for line in answer)
+        rows = [line for line in lines if line.startswith("node ")]
+        if method == "bf":
+            assert "method: bf" in lines and rows == []
+        else:
+            assert "method: dp" in lines
+            assert "table-entries: %d" % entries in lines
+            assert rows == ["node 0 type leaf entries %d" % entries]
+
+    def test_td_report(self, capsys, tmp_path):
+        path = save(tmp_path, self.EMPTY)
+        code, out, err = run(capsys, "td", "--instance", path, "--exact")
+        assert code == 0, err
+        assert out.splitlines() == [
+            "question: td", "width: -1", "bags: 1", "exact-width: -1", "bag 0",
         ]
 
 
@@ -531,3 +580,74 @@ class TestGenCommands:
         )
         assert first == second
         assert parse_instance(first).n_agents == 6
+
+
+def run_on_file(capsys, tmp_path, text, *argv):
+    """Exit code and stderr of the command `argv` with `{}` replaced by a
+    file holding `text`."""
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(str(path) if a == "{}" else a for a in argv))
+    return code, err
+
+
+class TestInputErrors:
+    # each bad input exits 1 with its message, and the line it is on
+    AGENT = "candidates a b\ndistinguished a\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ("poll p q\n", "line 1: poll takes one name"),
+        ("candidates a\ncandidates b\n", "line 2: duplicate candidates line"),
+        ("candidates\n", "line 1: candidates needs at least one label"),
+        ("candidates a\ndistinguished a b\n", "line 2: distinguished takes one label"),
+        ("candidates a\ndistinguished a\ndistinguished a\n",
+         "line 3: duplicate distinguished line"),
+        (AGENT + "edge 0\n", "line 3: edge takes two agent ids"),
+        (AGENT + "edge 0 x\n", "line 3: edge ids must be integers"),
+        (AGENT + "agent 0 top=a prefs=a\nagent 1 top=a prefs=a\nedge 0 1\nedge 1 0\n",
+         "line 6: duplicate edge 1 0 (first on line 5)"),
+        (AGENT + "agent 0\n", "line 3: agent needs an id, top= and prefs="),
+        (AGENT + "agent x top=a prefs=a\n", "line 3: agent id must be an integer"),
+        (AGENT + "agent 0 top=a prefs\n", "line 3: expected key=value, got 'prefs'"),
+        (AGENT + "agent 0 top=a prefs=a weight=w\n", "line 3: weight must be an integer"),
+        (AGENT + "agent 0 top=a prefs=a rank=1\n", "line 3: unknown agent field 'rank'"),
+        (AGENT + "agent 0 top=a weight=2\n", "line 3: agent needs top= and prefs="),
+    ])
+    def test_instance_document(self, capsys, tmp_path, doc, message):
+        code, err = run_on_file(capsys, tmp_path, doc, "validate", "--instance", "{}")
+        assert (code, err) == (1, "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--instance", "{}", "--order", "0,x"),
+         "error: order must be comma-separated integers"),
+        (("scores", "--instance", "{}", "--max-table", "0"),
+         "socialpolls scores: error: argument --max-table: --max-table must be positive"),
+    ])
+    def test_options(self, capsys, tmp_path, argv, message):
+        code, err = run_on_file(capsys, tmp_path, render_instance(two_agent_edge()), *argv)
+        assert (code, err) == (1, message + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 2\n", "line 1: malformed problem line 'p cnf 2'"),
+        ("p cnf 2 1\np cnf 2 1\n", "line 2: duplicate problem line"),
+        ("p cnf x 1\n", "line 1: problem line needs integers"),
+        ("c comment\n1 2 0\n", "line 2: clause before the problem line"),
+        ("p cnf 2 1\n1 y 0\n", "line 2: bad literal 'y'"),
+        ("c comment\n", "missing 'p cnf' problem line"),
+        ("p cnf 2 1\n1 2\n", "last clause is not terminated by 0"),
+        ("p cnf 2 2\n1 2 0\n", "problem line declares 2 clauses, found 1"),
+    ])
+    def test_dimacs(self, capsys, tmp_path, text, message):
+        code, err = run_on_file(capsys, tmp_path, text, "gen", "sat", "--dimacs", "{}")
+        assert (code, err) == (1, "error: %s\n" % message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("set a b\n", "line 1: a set needs exactly 3 elements"),
+        ("set a b c\nbudget\n", "line 2: budget needs one integer"),
+        ("set a b c\nbudget two\n", "line 2: bad budget 'two'"),
+        ("# sets\nsets a b c\n", "line 2: unknown directive 'sets'"),
+        ("set a b c\nset a b d\n", "no budget given (add a 'budget <k>' line)"),
+    ])
+    def test_hitting_sets(self, capsys, tmp_path, text, message):
+        code, err = run_on_file(capsys, tmp_path, text, "gen", "hitting-set", "--sets", "{}")
+        assert (code, err) == (1, "error: %s\n" % message)

@@ -204,12 +204,18 @@ class TestMarginSweep:
                     if poll is not inst and c != backed:
                         assert stats["entries"] == 0
 
-    def test_single_candidate_runs_no_sweep(self):
+    def test_single_candidate_sweeps_zero_length_vectors(self):
+        # with no rival a vector has no coordinate: the margin and front
+        # sweeps keep the one empty vector, and the outside-agent bound of
+        # necessary, which no rival can pass, empties the leaf
         single = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
-        stats = {}
-        assert margins_dp(single, nice_td_of(single), "a", stats=stats) == {}
-        assert possible_winner_dp(single, nice_td_of(single), "a", stats=stats)
-        assert stats == {}
+        ntd = nice_td_of(single)
+        traces = [], [], []
+        assert margins_dp(single, ntd, "a", trace=traces[0]) == {}
+        assert possible_winner_dp(single, ntd, "a", trace=traces[1])
+        assert necessary_winner_dp(single, ntd, "a", trace=traces[2]) == (True, None)
+        nodes = [(0, "leaf"), (1, "insert"), (2, "forget")]
+        assert traces == tuple([node + (e,) for node in nodes] for e in (1, 1, 0))
 
 
 def check_possible_against_bf(inst):
@@ -341,8 +347,8 @@ def one_key(inst, bag, v, order, rows, counts=None):
     bound."""
     tables = dpsolver._agent_tables(inst)
     alts, friends = tables[2], tables[3]
-    unseen = tuple(0 if friends[x] <= set(bag) else None for x in bag)
-    rec = dpsolver._bag_record(alts, friends, bag, unseen)
+    unseen = tuple(0 if friends[x] <= set(bag) else dpsolver._NO_BOUND for x in bag)
+    rec = dpsolver._bag_record(alts, friends, bag, unseen, None)
     key = (v, order, tuple(f for row in rows for f in row))
     if counts is None:
         return dpsolver._keys_compatible(tables, rec, [(key, (0,))], "margin")
@@ -547,12 +553,11 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
         for i in range(off[k], off[k + 1]):
             out.append(with_field(i, c[i] + rng.choice((-1, 1))))
         x, ai, r = bag[k], off[k + 1] - 1, unseen[k]
-        if r is not None:
-            if v[k] == top[x]:
-                if ai > off[k]:
-                    out.append(with_field(rng.randrange(off[k], ai), (c[ai] + r) // 2 + 1))
-            elif c[ai] >= r:
-                out.append(with_field(off[k] + alts[x].index(v[k]), (c[ai] - r) // 2))
+        if v[k] == top[x]:
+            if ai > off[k]:
+                out.append(with_field(rng.randrange(off[k], ai), (c[ai] + r) // 2 + 1))
+        elif c[ai] >= r:
+            out.append(with_field(off[k] + alts[x].index(v[k]), (c[ai] - r) // 2))
         i = rng.randrange(len(order))
         out.append(with_order(order[:i] + order[i + 1:]))
         out.append(inserted(rng.choice(order)))
@@ -572,7 +577,8 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
         out += [((v, order, c), bad) for bad in bad_counts(rng, tables, rec, v, payload)]
     elif kind == "front":
         out.append(((v, order, c), []))
-        if rec.neg is not None:
+        # a vector without coordinates has none to push above `neg`
+        if rec.neg:
             out.append(((v, order, c), payload + [above(rng, rng.choice(payload), rec.neg)]))
     elif rec.neg is not None:
         out.append(((v, order, c), rec.neg))
@@ -717,15 +723,15 @@ def places_without_bumps(original):
     return places
 
 
-def unpruned(original, leaves_only=False, bound=False):
-    """An insert (and so a leaf) or join that prunes nothing by the
-    voting rule: its bag record says that no bag agent's unseen friends
-    are known. With `bound` it drops the outside-agent bound too, and
-    with `leaves_only` it changes only the inserts that fill a one-agent
-    leaf."""
+def unpruned(original, above_leaves=False, bound=False):
+    """An insert or join that prunes nothing by the voting rule: its bag
+    record gives every bag agent `_NO_BOUND` unseen friends. With `bound`
+    it drops the outside-agent bound too, and with `above_leaves` it
+    changes only the inserts into an empty bag, which sit right above
+    the leaves."""
     def transition(self, rec, *args):
-        if not leaves_only or args[0] is dpsolver._EMPTY_BAG:
-            rec = rec._replace(unseen=(None,) * len(rec.bag))
+        if not above_leaves or not args[0].bag:
+            rec = rec._replace(unseen=(dpsolver._NO_BOUND,) * len(rec.bag))
             if bound:
                 rec = rec._replace(neg=None)
         return original(self, rec, *args)
@@ -808,8 +814,8 @@ class TestSweepCheckIsLive:
             SWEEPS[mode](inst, ntd)
 
     # a star whose center joins two pairs of leaves, and an isolated
-    # agent that may only vote its top: each of the leaf, insert and
-    # join makes dead states on it
+    # agent that may only vote its top: the insert above a leaf, any
+    # insert and the join each make dead states on it
     STAR = Instance(
         ("a", "b"),
         tuple(AgentPrefs(t, ["a", "b"]) for t in "abbaab"),
@@ -823,7 +829,7 @@ class TestSweepCheckIsLive:
         inst = self.STAR
         ntd = nice_td_of(inst)
         assert any(nd.kind == "join" for nd in ntd.nodes)
-        # a one-agent leaf is an insert into the empty state
+        # "leaf" patches only the inserts into a leaf's empty state
         method = "_join" if kind == "join" else "_insert"
         monkeypatch.setattr(dpsolver._Engine, method,
                             unpruned(getattr(dpsolver._Engine, method), kind == "leaf"))
@@ -831,8 +837,9 @@ class TestSweepCheckIsLive:
                            match=r"^incompatible key stored at node \d+$") as info:
             SWEEPS[mode](inst, ntd)
         node = ntd.nodes[int(str(info.value).split()[-1])]
-        assert node.kind == kind
+        assert node.kind == ("insert" if kind == "leaf" else kind)
         if kind == "leaf":
+            assert ntd.nodes[node.children[0]].kind == "leaf"
             assert node.bag == (5,)  # the isolated agent votes its top or dies
 
     @pytest.mark.parametrize("mode", SWEEPS)
@@ -855,16 +862,16 @@ def root_answer(engine, root):
     if engine.edge is None:
         return sorted(root.values())
     if engine.kind == "margin":
-        return sorted(tuple(max(q, 0) for q in p) for p in root.values() if max(p) > 0)
-    return sorted(p for front in root.values() for p in front if max(p) <= 0)
+        return sorted(tuple(max(q, 0) for q in p) for p in root.values()
+                      if any(q > 0 for q in p))
+    return sorted(p for front in root.values() for p in front if all(q <= 0 for q in p))
 
 
 def sweeps_with_reference_checker(inst, ntd, pruned):
     """Per sweep of `sweep_all`, the trace and the root answer, with the
-    reference checker on every stored slice. Unpruned, the insert (so
-    the leaf too) and join prune nothing, the forget applies the voting
-    rule, and the checker skips the voting-rule and outside-agent
-    bounds."""
+    reference checker on every stored slice. Unpruned, the insert and
+    join prune nothing, the forget applies the voting rule, and the
+    checker skips the voting-rule and outside-agent bounds."""
     results = []
 
     def check(tables, rec, items, kind):

@@ -239,23 +239,25 @@ class TestTreeDecomposition:
 # a star centered at 0 with leaves 1 and 2, as two branches joined on (0,)
 STAR = Graph(3, [(0, 1), (0, 2)])
 STAR_NICE = (
-    NiceNode("leaf", (0,)),
-    NiceNode("insert", (0, 1), (0,), 1),
-    NiceNode("forget", (0,), (1,), 1),
-    NiceNode("leaf", (0,)),
-    NiceNode("insert", (0, 2), (3,), 2),
-    NiceNode("forget", (0,), (4,), 2),
-    NiceNode("join", (0,), (2, 5)),
-    NiceNode("forget", (), (6,), 0),
+    NiceNode("leaf", ()),
+    NiceNode("insert", (0,), (0,), 0),
+    NiceNode("insert", (0, 1), (1,), 1),
+    NiceNode("forget", (0,), (2,), 1),
+    NiceNode("leaf", ()),
+    NiceNode("insert", (0,), (4,), 0),
+    NiceNode("insert", (0, 2), (5,), 2),
+    NiceNode("forget", (0,), (6,), 2),
+    NiceNode("join", (0,), (3, 7)),
+    NiceNode("forget", (), (8,), 0),
 )
 
 
-def corrupted_star(node=None, root=len(STAR_NICE) - 1, **changes):
+def corrupted_star(node=None, **changes):
     """The nice tree of STAR with `changes` made to one node."""
     nodes = list(STAR_NICE)
     if node is not None:
         nodes[node] = dataclasses.replace(nodes[node], **changes)
-    return NiceTreeDecomposition(tuple(nodes), root)
+    return NiceTreeDecomposition(tuple(nodes))
 
 
 def with_empty_bags(td, rng):
@@ -312,7 +314,7 @@ def nice_node_counts(td):
     for u, bag in enumerate(td.bags):
         kids = nbrs[u] - {parent[u]}
         if not kids:
-            per_child += max(len(bag), 1)
+            per_child += len(bag) + 1
             continue
         per_child += len(kids) - 1 + sum(len(bag ^ td.bags[c]) for c in kids)
         meet = frozenset().union(*(bag & td.bags[c] for c in kids))
@@ -336,7 +338,7 @@ class TestNiceForm:
         ntd = make_nice(td)
         validate_nice(g, ntd)
         assert ntd.width <= td.width
-        assert ntd.nodes[ntd.root].bag == ()
+        assert ntd.nodes[-1].bag == ()
 
     @given(st.integers(0, 400), st.integers(1, 9), st.sampled_from([0.1, 0.3, 0.6, "forest"]),
            st.sampled_from(["heuristic", "exact", "empty bags"]))
@@ -360,12 +362,12 @@ class TestNiceForm:
         (poll([(0, 1), (1, 2), (1, 5), (2, 3), (2, 4)],
               [("a", "ab", 1), ("b", "bc", 1), ("c", "ac", 1),
                ("a", "ac", 1), ("b", "ab", 1), ("c", "bc", 1)]),
-         "LILIFFJILFIIJFIFF", [(2,), (1, 5)]),
+         "LIILIIFFJILIFIIJFIFF", [(2,), (1, 5)]),
         # bag (2,) shares no vertex with its children (1,) and (3,), so
         # they join on () and 2 is inserted once above the join
         (poll([(0, 2)], [("a", "ab", 2), ("b", "bc", 1), ("b", "ab", 3), ("c", "ac", 1)]),
-         "LLFFJIIFF", [()]),
-    ])
+         "LILIFFJIIFF", [()]),
+    ], ids=["shared-vertex", "no-shared-vertex"])
     def test_children_join_on_shared_vertices(self, inst, kinds, joins):
         ntd = make_nice(heuristic_td(inst.graph))
         validate_nice(inst.graph, ntd)
@@ -384,38 +386,53 @@ class TestNiceForm:
         with pytest.raises(PollInputError, match=match):
             make_nice(td)
 
+    # STAR_NICE's nodes 1, 2 and 6 insert 0, 1 and 2; some forget and
+    # join cases turn node 2 into a forget or node 6 into a join
     @pytest.mark.parametrize("g, ntd, match", [
-        (STAR, NiceTreeDecomposition((), 0), "needs at least one node"),
-        (STAR, corrupted_star(root=6), "root must be the last node"),
-        (STAR, corrupted_star(7, bag=(0,)), "root bag must be empty"),
-        (STAR, corrupted_star(1, bag=(1, 0)), "node 1 bag is not sorted"),
+        (STAR, NiceTreeDecomposition(()), "needs at least one node"),
+        # a bag that mixes ints and a string
+        (STAR, corrupted_star(6, bag=(0, "a"), vertex="a"), "node 6 holds unknown vertex 'a'"),
+        (STAR, corrupted_star(9, bag=(0,)), "root bag must be empty"),
+        (STAR, corrupted_star(1, bag=(0, 0)), "node 1 bag is not sorted"),
         (STAR, corrupted_star(2, children=(6,)), "node 2 child 6 does not precede it"),
         (STAR, corrupted_star(5, children=(1,)), "node 1 has two parents"),
-        (STAR, corrupted_star(0, bag=(0, 1)), "leaf node 0 is malformed"),
+        # a leaf holds no vertex: vertices enter at inserts only
+        (STAR, corrupted_star(0, bag=(0,)), "leaf node 0 is malformed"),
         (STAR, corrupted_star(1, vertex=None), "insert node 1 is malformed"),
-        (STAR, corrupted_star(2, children=()), "forget node 2 is malformed"),
+        (STAR, corrupted_star(2, kind="forget", children=()), "forget node 2 is malformed"),
         (STAR, corrupted_star(1, vertex=2), "insert node 1 does not add its vertex"),
-        (STAR, corrupted_star(2, vertex=0), "forget node 2 does not drop its vertex"),
-        (STAR, corrupted_star(6, children=(2,)), "join node 6 needs two children"),
-        (STAR, corrupted_star(6, bag=()), "join node 6 changes the bag"),
+        (STAR, corrupted_star(2, kind="forget"), "forget node 2 does not drop its vertex"),
+        (STAR, corrupted_star(6, kind="join", children=(5,)), "join node 6 needs two children"),
+        (STAR, corrupted_star(6, kind="join", children=(5, 3)), "join node 6 changes the bag"),
         (STAR, corrupted_star(0, kind="seed"), "unknown node kind 'seed'"),
-        (STAR, corrupted_star(6, kind="leaf", children=()),
-         "tree is not connected through the root"),
+        # node 0 is nobody's child
+        (Graph(1, []), NiceTreeDecomposition((
+            NiceNode("leaf", ()),
+            NiceNode("leaf", ()),
+            NiceNode("insert", (0,), (1,), 0),
+            NiceNode("forget", (), (2,), 0),
+        )), "tree is not connected through the root"),
         # a valid nice tree of another graph
         (Graph(3, [(0, 1), (1, 2)]), make_nice(heuristic_td(Graph(2, [(0, 1)]))),
          "vertex 2 is not in any bag"),
         # vertex 0 is forgotten under both children of the root join
         (Graph(1, []), NiceTreeDecomposition((
-            NiceNode("leaf", (0,)),
-            NiceNode("forget", (), (0,), 0),
-            NiceNode("leaf", (0,)),
-            NiceNode("forget", (), (2,), 0),
-            NiceNode("join", (), (1, 3)),
-        ), 4), "bags of vertex 0 are not connected"),
+            NiceNode("leaf", ()),
+            NiceNode("insert", (0,), (0,), 0),
+            NiceNode("forget", (), (1,), 0),
+            NiceNode("leaf", ()),
+            NiceNode("insert", (0,), (3,), 0),
+            NiceNode("forget", (), (4,), 0),
+            NiceNode("join", (), (2, 5)),
+        )), "bags of vertex 0 are not connected"),
         # no bag of the star's tree holds both of its leaves
         (Graph(3, [(0, 1), (0, 2), (1, 2)]), corrupted_star(),
          r"edge \(1, 2\) is not inside any bag"),
         (Graph(2, [(0, 1)]), corrupted_star(), "unknown vertex 2"),
+        (STAR, corrupted_star(2, bag=(1, 0)), "node 2 bag is not sorted"),
+        # child indexes that are not ints
+        (STAR, corrupted_star(3, children=("x",)), "node 3 child 'x' does not precede it"),
+        (STAR, corrupted_star(3, children=(0.5,)), "node 3 child 0.5 does not precede it"),
     ])
     def test_nice_shape_rejections(self, g, ntd, match):
         validate_nice(STAR, corrupted_star())
