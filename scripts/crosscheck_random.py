@@ -11,8 +11,10 @@ outside-agent bound empties the backed candidate's necessary sweep
 (YES) and every other candidate's possible sweep (NO). Every DP answer
 is checked on two nice trees of the poll, from the min-fill and from
 the exact minimum-width decomposition, since a correct answer does not
-depend on the decomposition. Prints one line per mismatch and a
-summary; exits 1 when any mismatch was found.
+depend on the decomposition. Every brute-force witness and
+counterexample is re-simulated with `simulate_order` and must certify
+its answer. Prints one line per mismatch and a summary; exits 1 when
+any mismatch was found.
 
 Usage:
     python3 scripts/crosscheck_random.py --trials 200 --seed 7 --weighted
@@ -30,7 +32,7 @@ from socialpolls.dpsolver import (
     possible_winner_dp,
 )
 from socialpolls.graphkit import exact_td_small, heuristic_td, make_nice
-from socialpolls.model import AgentPrefs, Instance
+from socialpolls.model import AgentPrefs, Instance, simulate_order, winners
 from socialpolls.oracle import (
     achievable_scores_bf,
     margins_bf,
@@ -56,14 +58,34 @@ def check_scores(inst, trees):
             for name, ntd in trees if achievable_scores_dp(inst, ntd) != bf]
 
 
-def check_weighted(inst, trees):
+def check_certificates(inst):
+    """({c: (possible, necessary)} brute-force decisions, mismatches):
+    each witness order must re-simulate to its scores and a co-win, each
+    counterexample to its scores and a loss."""
+    decisions = {}
+    mism = []
+    for c in inst.candidates:
+        possible, wit = possible_winner_bf(inst, c)
+        necessary, cex = necessary_winner_bf(inst, c)
+        decisions[c] = possible, necessary
+        for name, cert, wins in (("possible", wit, True), ("necessary", cex, False)):
+            if cert is None:
+                continue
+            sim = simulate_order(inst, cert.order).scores
+            if sim != cert.scores or (c in winners(sim)) != wins:
+                mism.append("%s(%s): bf certificate %s does not re-simulate"
+                            % (name, c, ",".join(map(str, cert.order))))
+    return decisions, mism
+
+
+def check_weighted(inst, trees, decisions):
     mism = []
     for c in inst.candidates:
         bf = margins_bf(inst, c)
         # the offender is the first rival, in candidate order, that can beat c
         first = next((d for d, margin in bf.items() if margin > 0), None)
         expected = (first is None, first)
-        if necessary_winner_bf(inst, c)[0] != expected[0]:
+        if decisions[c][1] != expected[0]:
             mism.append("necessary(%s): bf decision disagrees with bf margins" % c)
         for name, ntd in trees:
             # one sweep gives the margins of every rival d against c
@@ -76,15 +98,23 @@ def check_weighted(inst, trees):
     return mism
 
 
-def check_possible(inst, trees):
+def check_possible(inst, trees, decisions):
     mism = []
     for c in inst.candidates:
-        bf = possible_winner_bf(inst, c)[0]
+        bf = decisions[c][0]
         for name, ntd in trees:
             dp = possible_winner_dp(inst, ntd, c)
             if dp != bf:
                 mism.append("%s: possible(%s): dp=%s bf=%s" % (name, c, dp, bf))
     return mism
+
+
+def check_decisions(inst, trees, weighted):
+    """Certificate, possible and (weighted) necessary checks of `inst`."""
+    decisions, mism = check_certificates(inst)
+    if weighted:
+        mism += check_weighted(inst, trees, decisions)
+    return mism + check_possible(inst, trees, decisions)
 
 
 def with_backer(inst, c):
@@ -129,15 +159,11 @@ def main(argv=None):
             if len(inst.graph.edges) <= args.max_edges:
                 break
         trees = nice_trees(inst)
-        mism = check_scores(inst, trees)
-        if args.weighted:
-            mism += check_weighted(inst, trees)
-        mism += check_possible(inst, trees)
+        mism = check_scores(inst, trees) + check_decisions(inst, trees, args.weighted)
         backed = backed_rng.choice(inst.candidates)
         padded = with_backer(inst, backed)
-        pad_trees = nice_trees(padded)
         mism += ["padded for %s: %s" % (backed, line)
-                 for line in check_weighted(padded, pad_trees) + check_possible(padded, pad_trees)]
+                 for line in check_decisions(padded, nice_trees(padded), True)]
         if mism:
             bad += 1
             for line in mism:

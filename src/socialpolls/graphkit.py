@@ -409,8 +409,10 @@ def validate_nice(g, ntd):
 
     Once the shape rules hold, the decomposition is read off its inserts
     and forgets. Leaves are empty and bags gain vertices only at inserts,
-    so checking the vertex each insert brings in checks every bag, and
-    the shape rules, all set equalities, hold each bag to its child's.
+    so checking the range of the vertex each insert brings in checks
+    every bag, and the shape rules, all set equalities, hold each bag to
+    its child's. Equality lets 1.0 stand for 1, so every bag element and
+    forget vertex must also be an int.
     Going up the tree a vertex leaves the bags only at a forget of it,
     and the root bag is empty, so the nodes holding v form one subtree
     per forget of v, topped by that forget's child: v is in some bag
@@ -449,6 +451,8 @@ def validate_nice(g, ntd):
             else:
                 if nd.vertex not in child or bag != child - {nd.vertex}:
                     raise PollInputError("forget node %d does not drop its vertex" % i)
+                if not isinstance(nd.vertex, int):
+                    raise PollInputError("node %d holds unknown vertex %r" % (i, nd.vertex))
                 if nd.vertex in top:
                     raise PollInputError("bags of vertex %d are not connected" % nd.vertex)
                 top[nd.vertex] = nd.children[0]
@@ -462,6 +466,9 @@ def validate_nice(g, ntd):
             raise PollInputError("unknown node kind %r" % (nd.kind,))
         if list(nd.bag) != sorted(bag):
             raise PollInputError("node %d bag is not sorted and duplicate-free" % i)
+        for v in nd.bag:
+            if not isinstance(v, int):
+                raise PollInputError("node %d holds unknown vertex %r" % (i, v))
     if used != set(range(len(nodes) - 1)):
         raise PollInputError("tree is not connected through the root")
     for v in range(g.n):

@@ -13,7 +13,8 @@ candidate j owns the bits from `width * j` up, wide enough for the
 poll's total weight, so adding keys adds vectors. Components combine by
 adding keys, those with a single outcome (isolated agents among them)
 first: each shifts every key alike, so keys keep their representatives.
-The table is unpacked into tuples once, at the end.
+The table is unpacked into tuples once, at the end; the decisions
+unpack only the keys they test.
 
 Orientations are replayed incrementally. The enumerator directs the
 sorted edges one level at a time, depth first, so consecutive
@@ -29,11 +30,17 @@ Every vote goes through `model._vote`, the package's single copy of the
 voting rule.
 
 The enumeration order is fixed, so the first orientation producing each
-score vector is the same as under a from-scratch replay. Witness and
+score vector is the same as under a from-scratch replay.
+
+`scores` and `margins_bf` enumerate every orientation. The decisions
+stop at their first certificate: every component but the one with the
+most edges is tabulated and combined, and the big one's orientations
+are streamed against that table, so one voting order on which c co-wins
+(`possible`) or loses (`necessary`) ends the search. Witness and
 counterexample orders are built in one place: the smallest topological
-order (`model._toposort`) of the combined orientation of the smallest
-qualifying score tuple, re-simulated by `simulate_order` before being
-reported.
+order (`model._toposort`) of the first qualifying pair's orientation,
+re-simulated by `simulate_order` before being reported. The search is
+exhaustive only when no certificate exists.
 """
 
 from __future__ import annotations
@@ -71,16 +78,16 @@ def _sides(x, arcs, edge_ids):
     return into, out, sum(1 << y for y in into)
 
 
-def _component_outcomes(inst, g, comp, width, product, limit):
-    """Achievable partial score vectors of one component.
+def _replay(inst, sub, ids, width, product, limit):
+    """Replay every orientation of one component, in enumerator order.
 
-    Returns a dict mapping each packed score key (zero fields outside
-    the component) to the first orientation, in original agent ids, that
-    produces it, and the number of orientations. `product` is the product
-    of the earlier components' counts; raises ResourceLimitError once the
-    product with this count would exceed `limit`.
+    `sub` is the component relabeled 0..k-1 and `ids[i]` the agent that
+    i stands for. Yields (packed score key, orientation) per orientation:
+    the key has zero fields outside the component, and the orientation is
+    the enumerator's tuple, in `sub`'s labels. `product` is the product
+    of the earlier components' counts; raises ResourceLimitError before
+    the orientation that takes the product with this count past `limit`.
     """
-    sub, ids = induced_subgraph(g, comp)
     n = sub.n
     m = len(sub.edges)
     ballots = [inst.ballots[v] for v in ids]
@@ -113,17 +120,15 @@ def _component_outcomes(inst, g, comp, width, product, limit):
     voted_at = [voted] * (m + 1)    # voters and scores before each level
     score_at = [score] * (m + 1)
 
-    outcomes = {}
     count = 0
     budget = limit // product
     prev = (None,) * m
     for arcs in enumerate_acyclic_orientations(sub):
         count += 1
         if count > budget:
-            raise ResourceLimitError(
-                "orientation guard exceeded: product %d over %d at component "
-                "containing agent %d" % (product * count, limit, ids[0])
-            )
+            where = "component containing agent %d" % ids[0] if ids else "the empty poll"
+            raise ResourceLimitError("orientation guard exceeded: product %d over %d at %s"
+                                     % (product * count, limit, where))
         k = next(itertools.compress(itertools.count(), map(ne, arcs, prev)), m)
         prev = arcs
         voted = voted_at[k]
@@ -151,28 +156,32 @@ def _component_outcomes(inst, g, comp, width, product, limit):
                     for z in succs[y]:
                         if last[z] <= i and not predmask[z] & ~voted:
                             ready.append(z)
-        if score not in outcomes:
-            outcomes[score] = tuple((ids[u], ids[v]) for u, v in arcs)
-    return outcomes, count
+        yield score, arcs
 
 
-def _outcome_table(inst, max_orientations, stats):
-    """Map every achievable score tuple to a representative orientation
-    of the whole graph. The guard bounds the product of per-component
-    orientation counts."""
-    g = inst.graph
-    width = inst.total_weight().bit_length()
+def _relabel(arcs, ids):
+    return tuple((ids[u], ids[v]) for u, v in arcs)
+
+
+def _packed_table(inst, comps, width, limit):
+    """(table, product, total) over the components `comps`: the table
+    maps every achievable packed score key to a representative
+    orientation in original agent ids, and product and total are the
+    product and the sum of the components' orientation counts. The guard
+    bounds the product."""
     parts = []
     product = 1
     total = 0
-    for comp in connected_components(g):
-        outcomes, count = _component_outcomes(
-            inst, g, comp, width, product, max_orientations)
+    for comp in comps:
+        sub, ids = induced_subgraph(inst.graph, comp)
+        outcomes = {}
+        count = 0
+        for count, (key, arcs) in enumerate(_replay(inst, sub, ids, width, product, limit), 1):
+            if key not in outcomes:
+                outcomes[key] = _relabel(arcs, ids)
         parts.append(outcomes)
         product *= count
         total += count
-    if stats is not None:
-        stats["orientations"] = stats.get("orientations", 0) + total
     # a one-outcome part only shifts every key, so merging those first
     # keeps each key's representative
     table = {0: ()}
@@ -184,12 +193,31 @@ def _outcome_table(inst, max_orientations, stats):
                 if key not in merged:
                     merged[key] = rep + arcs
         table = merged
+    return table, product, total
+
+
+def _unpacker(inst, width):
+    """Function from a packed key to its score tuple."""
     field = (1 << width) - 1
-    cands = range(len(inst.candidates))
-    return {
-        tuple(key >> (width * c) & field for c in cands): rep
-        for key, rep in table.items()
-    }
+    shifts = [width * j for j in range(len(inst.candidates))]
+    return lambda key: tuple(key >> s & field for s in shifts)
+
+
+def _count(stats, orientations):
+    if stats is not None:
+        stats["orientations"] = stats.get("orientations", 0) + orientations
+
+
+def _outcome_table(inst, max_orientations, stats):
+    """Map every achievable score tuple to a representative orientation
+    of the whole graph. The guard bounds the product of per-component
+    orientation counts."""
+    width = inst.total_weight().bit_length()
+    table, _, total = _packed_table(
+        inst, connected_components(inst.graph), width, max_orientations)
+    _count(stats, total)
+    unpack = _unpacker(inst, width)
+    return {unpack(key): rep for key, rep in table.items()}
 
 
 def achievable_scores_bf(inst, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
@@ -199,26 +227,61 @@ def achievable_scores_bf(inst, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=
 
 
 def _certificate(inst, c, wins, max_orientations, stats):
-    """Witness for the smallest achievable score tuple on which `c`
-    co-wins (`wins` true) or loses (`wins` false), or None if there is
-    none. Its order is the smallest topological order of the tuple's
-    representative orientation, re-simulated."""
+    """Witness for the first orientation, in enumeration order, on which
+    `c` co-wins (`wins` true) or loses (`wins` false), or None if there
+    is none.
+
+    Every component but the one with the most edges (the first such) is
+    tabulated and combined into `rest`. The big one's orientations are
+    then streamed, and each new outcome is tested against `rest` in its
+    insertion order; the first qualifying pair stops the enumeration.
+    The order is the smallest topological order of that pair's arcs,
+    re-simulated. An empty poll streams the one orientation of the
+    empty component."""
     if c not in inst.candidate_index:
         raise PollInputError("unknown candidate %r" % (c,))
-    table = _outcome_table(inst, max_orientations, stats)
+    g = inst.graph
+    width = inst.total_weight().bit_length()
+    unpack = _unpacker(inst, width)
     ci = inst.candidate_index[c]
-    key = min((k for k in table if (k[ci] == max(k)) == wins), default=None)
-    if key is None:
+    comps = connected_components(g)
+    big = max(comps, key=lambda comp: sum(len(g.adjacency[x]) for x in comp), default=())
+    rest, product, total = _packed_table(
+        inst, [comp for comp in comps if comp is not big], width, max_orientations)
+    sub, ids = induced_subgraph(g, big)
+    seen = set()
+    hit = None
+    count = 0
+    for part, arcs in _replay(inst, sub, ids, width, product, max_orientations):
+        count += 1
+        if part in seen:
+            continue
+        seen.add(part)
+        for base, rep in rest.items():
+            scores = unpack(base + part)
+            if (scores[ci] == max(scores)) == wins:
+                hit = scores, rep + _relabel(arcs, ids)
+                break
+        if hit is not None:
+            break
+    _count(stats, total + count)
+    if hit is None:
         return None
-    order = _toposort(inst.n_agents, table[key])
-    return Witness(order=order, scores=simulate_order(inst, order).scores)
+    scores, arcs = hit
+    order = _toposort(inst.n_agents, arcs)
+    sim = simulate_order(inst, order).scores
+    assert sim.values == scores, (order, sim.values, scores)
+    return Witness(order=order, scores=sim)
 
 
 def possible_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
     """Can candidate `c` co-win some voting order?
 
-    Returns (decision, witness). The witness order is re-simulated, so
-    its scores are guaranteed, not merely claimed.
+    Returns (decision, witness). The enumeration stops at the first
+    orientation on which `c` co-wins (see `_certificate`), and
+    `stats["orientations"]` counts the orientations enumerated up to
+    it. The witness order is re-simulated, so its scores are
+    guaranteed, not merely claimed.
     """
     wit = _certificate(inst, c, True, max_orientations, stats)
     return wit is not None, wit
@@ -227,8 +290,10 @@ def possible_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats
 def necessary_winner_bf(inst, c, max_orientations=DEFAULT_MAX_ORIENTATIONS, stats=None):
     """Does candidate `c` co-win every voting order?
 
-    Returns (decision, counterexample): a witness order on which `c`
-    loses when the answer is no.
+    Returns (decision, counterexample): a re-simulated witness order on
+    which `c` loses when the answer is no. The enumeration stops at the
+    first orientation on which `c` loses (see `_certificate`), so it is
+    exhaustive only when the answer is yes.
     """
     cex = _certificate(inst, c, False, max_orientations, stats)
     return cex is None, cex

@@ -300,13 +300,26 @@ class TestDecisionCommands:
         assert "cross-check: ok" in out
 
     def test_resource_guard_exits_three(self, capsys, tmp_path):
+        # b co-wins only on the second orientation, which the cap forbids
+        path = save(tmp_path, two_agent_edge())
+        code, out, err = run(
+            capsys, "possible", "--instance", path,
+            "--candidate", "b", "--method", "bf", "--max-orientations", "1",
+        )
+        assert code == 3
+        assert "resource guard:" in err
+        assert "product 2 over 1" in err
+
+    def test_first_certificate_stops_under_the_guard(self, capsys, tmp_path):
+        # a co-wins on the first orientation, so the second is never reached
         path = save(tmp_path, two_agent_edge())
         code, out, err = run(
             capsys, "possible", "--instance", path,
             "--candidate", "a", "--method", "bf", "--max-orientations", "1",
         )
-        assert code == 3
-        assert "resource guard:" in err
+        assert code == 0, err
+        assert "decision: YES" in out.splitlines()
+        assert "orientations: 1" in out.splitlines()
 
     def test_unknown_candidate_exits_one(self, capsys, tmp_path):
         path = save(tmp_path, two_agent_edge())

@@ -433,6 +433,21 @@ class TestNiceForm:
         # child indexes that are not ints
         (STAR, corrupted_star(3, children=("x",)), "node 3 child 'x' does not precede it"),
         (STAR, corrupted_star(3, children=(0.5,)), "node 3 child 0.5 does not precede it"),
+        # a bag or forget vertex equal to an int without being one
+        (Graph(2, [(0, 1)]), NiceTreeDecomposition((
+            NiceNode("leaf", ()),
+            NiceNode("insert", (0,), (0,), 0),
+            NiceNode("insert", (0, 1), (1,), 1),
+            NiceNode("forget", (1.0,), (2,), 0),
+            NiceNode("forget", (), (3,), 1),
+        )), "node 3 holds unknown vertex 1.0"),
+        (Graph(2, [(0, 1)]), NiceTreeDecomposition((
+            NiceNode("leaf", ()),
+            NiceNode("insert", (0,), (0,), 0),
+            NiceNode("insert", (0, 1), (1,), 1),
+            NiceNode("forget", (1,), (2,), 0.0),
+            NiceNode("forget", (), (3,), 1),
+        )), "node 3 holds unknown vertex 0.0"),
     ])
     def test_nice_shape_rejections(self, g, ntd, match):
         validate_nice(STAR, corrupted_star())

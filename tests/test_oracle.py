@@ -60,22 +60,36 @@ def split_weighted_seven():
     return Instance(("a", "b", "c"), agents, [(0, 1), (3, 4), (4, 5)], "a")
 
 
-def reference_table(inst):
-    """Score tuple -> representative orientation, built the slow way:
-    every orientation of each component, from the recursive enumerator,
-    is simulated from scratch with `simulate_orientation` and the first
-    one per score tuple is kept; components combine by pointwise sums,
-    first pair first."""
-    g = inst.graph
+def tied_components():
+    """Two one-edge components. Streamed, {0, 1} gives `a` its first
+    co-win (a=5, c=4) with {2, 3}'s second outcome, so the witness is
+    0,1,3,2; streaming {2, 3} instead would give 1,0,2,3."""
+    ballots = [("c", "bc", 1), ("a", "ac", 3), ("c", "ac", 3), ("a", "ab", 2)]
+    agents = tuple(AgentPrefs(top, prefs, w) for top, prefs, w in ballots)
+    return Instance(("a", "b", "c"), agents, [(0, 1), (2, 3)], "a")
+
+
+def reference_outcomes(inst, comp):
+    """(orientation in original ids, score tuple) of every orientation of
+    the component `comp`, from the recursive enumerator, each simulated
+    from scratch with `simulate_orientation`."""
+    sub, ids = induced_subgraph(inst.graph, comp)
+    mini = Instance(inst.candidates, tuple(inst.agents[v] for v in ids),
+                    sub.edges, inst.distinguished)
+    for arcs in reference_orientations(sub):
+        yield (tuple((ids[u], ids[v]) for u, v in arcs),
+               simulate_orientation(mini, arcs).scores.values)
+
+
+def reference_table(inst, comps):
+    """Score tuple -> representative orientation over the components
+    `comps`, built the slow way: the first orientation per score tuple
+    of each component, combined by pointwise sums, first pair first."""
     table = {(0,) * len(inst.candidates): ()}
-    for comp in connected_components(g):
-        sub, ids = induced_subgraph(g, comp)
-        mini = Instance(inst.candidates, tuple(inst.agents[v] for v in ids),
-                        sub.edges, inst.distinguished)
+    for comp in comps:
         outcomes = {}
-        for arcs in reference_orientations(sub):
-            key = simulate_orientation(mini, arcs).scores.values
-            outcomes.setdefault(key, tuple((ids[u], ids[v]) for u, v in arcs))
+        for arcs, key in reference_outcomes(inst, comp):
+            outcomes.setdefault(key, arcs)
         merged = {}
         for base, rep in table.items():
             for part, arcs in outcomes.items():
@@ -84,26 +98,42 @@ def reference_table(inst):
     return table
 
 
-def reference_order(n, table, outcome):
-    """Smallest-first topological order of the table's orientation for
-    the first sorted score tuple with `outcome(key)` true, or None."""
-    for k in sorted(table):
-        if outcome(k):
-            preds = {x: set() for x in range(n)}
-            for u, v in table[k]:
-                preds[v].add(u)
-            ready = [x for x in preds if not preds[x]]
-            heapq.heapify(ready)
-            order = []
-            while ready:
-                x = heapq.heappop(ready)
-                order.append(x)
-                for y in preds:
-                    if x in preds[y]:
-                        preds[y].discard(x)
-                        if not preds[y]:
-                            heapq.heappush(ready, y)
-            return tuple(order)
+def smallest_order(n, arcs):
+    """Smallest-first topological order of `arcs` over agents 0..n-1."""
+    preds = {x: set() for x in range(n)}
+    for u, v in arcs:
+        preds[v].add(u)
+    ready = [x for x in preds if not preds[x]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        for y in preds:
+            if x in preds[y]:
+                preds[y].discard(x)
+                if not preds[y]:
+                    heapq.heappush(ready, y)
+    return tuple(order)
+
+
+def reference_order(inst, outcome):
+    """Certificate order of the first qualifying orientation, or None.
+
+    The component with the most edges (the first such) is streamed, the
+    others are combined first pair first, and every streamed orientation
+    is tried against that table in order; the first pair whose summed
+    score tuple has `outcome(key)` true gives the smallest topological
+    order of its arcs. An empty poll streams the empty orientation."""
+    g = inst.graph
+    comps = connected_components(g)
+    size = {comp: sum(1 for u, v in g.edges if u in comp) for comp in comps}
+    big = next((comp for comp in comps if size[comp] == max(size.values())), ())
+    rest = reference_table(inst, [comp for comp in comps if comp != big])
+    for arcs, part in reference_outcomes(inst, big):
+        for base, rep in rest.items():
+            if outcome(tuple(map(sum, zip(base, part)))):
+                return smallest_order(inst.n_agents, rep + arcs)
     return None
 
 
@@ -146,6 +176,11 @@ class TestAchievable:
 
 
 class TestDecisions:
+    def test_first_of_tied_components_is_streamed(self):
+        _, wit = possible_winner_bf(tied_components(), "a")
+        assert wit.order == (0, 1, 3, 2)
+        assert wit.scores.values == (5, 0, 4)
+
     def test_possible_and_witness(self):
         inst = two_agent_edge()
         ok, wit = possible_winner_bf(inst, "a")
@@ -162,16 +197,39 @@ class TestDecisions:
 
     @given(small_instances())
     @example(split_weighted_seven())
+    @example(tied_components())
     @settings(max_examples=60, deadline=None)
     def test_witness_orders_match_reference(self, inst):
-        table = reference_table(inst)
         for ci, c in enumerate(inst.candidates):
             _, wit = possible_winner_bf(inst, c)
-            want = reference_order(inst.n_agents, table, lambda k: k[ci] == max(k))
+            want = reference_order(inst, lambda k: k[ci] == max(k))
             assert (wit.order if wit else None) == want
             _, cex = necessary_winner_bf(inst, c)
-            want = reference_order(inst.n_agents, table, lambda k: k[ci] != max(k))
+            want = reference_order(inst, lambda k: k[ci] != max(k))
             assert (cex.order if cex else None) == want
+
+    @given(small_instances())
+    @example(Instance(("a", "b"), (), (), "a"))
+    @example(seeded_instance(72, 6, [(0, 1), (0, 2), (4, 5)], max_weight=3))
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_all_permutations(self, inst):
+        # the naive check: every voting order simulated, and every
+        # certificate re-simulated to a co-win (possible) or a loss
+        # (necessary)
+        cowins = {c: set() for c in inst.candidates}
+        for order in itertools.permutations(range(inst.n_agents)):
+            won = winners(simulate_order(inst, order).scores)
+            for c in inst.candidates:
+                cowins[c].add(c in won)
+        for c in inst.candidates:
+            ok, wit = possible_winner_bf(inst, c)
+            assert ok == (True in cowins[c])
+            if ok:
+                assert c in winners(simulate_order(inst, wit.order).scores)
+            ok, cex = necessary_winner_bf(inst, c)
+            assert ok == (False not in cowins[c])
+            if not ok:
+                assert c not in winners(simulate_order(inst, cex.order).scores)
 
     def test_single_agent_trivial(self):
         inst = Instance(("a",), (AgentPrefs("a", ["a"]),), (), "a")
@@ -222,6 +280,17 @@ class TestGuardsAndStats:
         stats = {}
         achievable_scores_bf(inst, max_orientations=24, stats=stats)
         assert stats["orientations"] == 4 + 6
+
+    def test_guard_on_the_empty_poll(self):
+        # the decisions enumerate the empty poll's one orientation, so
+        # they trip a guard of 0 where scores enumerates none
+        inst = Instance(("a", "b"), (), (), "a")
+        assert score_set(inst, max_orientations=0) == {(0, 0)}
+        with pytest.raises(ResourceLimitError, match="product 1 over 0 at the empty poll$"):
+            necessary_winner_bf(inst, "a", max_orientations=0)
+        stats = {}
+        assert possible_winner_bf(inst, "a", stats=stats)[0]
+        assert stats["orientations"] == 1
 
     def test_guard_trips_inside_component(self):
         inst = p3_gadget()
