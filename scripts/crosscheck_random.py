@@ -1,5 +1,7 @@
 """Seeded sweep comparing the decomposition solver against brute force.
 
+Each trial draws its preferred-set size from 1 to min(3, candidates),
+so that agents with no alternative, one or two alternatives all occur.
 Every instance compares the possible-winner decision of every
 candidate and the full achievable-score sets. Weighted instances also
 compare every ordered-pair margin, and every necessary-winner decision
@@ -119,9 +121,11 @@ def check_decisions(inst, trees, weighted):
 
 def with_backer(inst, c):
     """`inst` with one more agent, friendless and backing `c`, that
-    outweighs all the others together."""
-    other = next(d for d in inst.candidates if d != c)
-    backer = AgentPrefs(c, [c, other], inst.total_weight() + 1)
+    outweighs all the others together. Its preferred set has the size
+    of the others' sets."""
+    others = [d for d in inst.candidates if d != c]
+    size = len(inst.agents[0].preferred)
+    backer = AgentPrefs(c, [c] + others[:size - 1], inst.total_weight() + 1)
     return Instance(inst.candidates, inst.agents + (backer,), inst.edges, inst.distinguished)
 
 
@@ -141,19 +145,23 @@ def main(argv=None):
                  "decomposition of the padded poll" % MAX_AGENTS)
 
     rng = random.Random(args.seed)
-    # a second stream, so that the instances drawn match those of runs
-    # without the padded check
+    # further streams, so that the instances drawn match those of runs
+    # without the padded check, and the seeds and sizes those of runs
+    # with one preferred-set size
     backed_rng = random.Random("backer:%d" % args.seed)
+    size_rng = random.Random("pref-size:%d" % args.seed)
     bad = 0
     start = time.monotonic()
     for trial in range(args.trials):
         n = rng.randint(2, args.max_agents)
+        size = size_rng.randint(1, min(3, args.candidates))
         while True:
             inst = gen_random(
                 rng.randrange(10**6),
                 n,
                 args.candidates,
                 edge_prob=args.edge_prob,
+                pref_size=size,
                 max_weight=9 if args.weighted else 1,
             )
             if len(inst.graph.edges) <= args.max_edges:
@@ -167,9 +175,9 @@ def main(argv=None):
         if mism:
             bad += 1
             for line in mism:
-                print("trial %d n=%d: %s" % (trial, n, line))
+                print("trial %d n=%d size=%d: %s" % (trial, n, size, line))
         elif args.verbose:
-            print("trial %d n=%d ok" % (trial, n))
+            print("trial %d n=%d size=%d ok" % (trial, n, size))
     elapsed = time.monotonic() - start
     print(
         "%d trials, %d mismatching instances, %.1fs" % (args.trials, bad, elapsed)

@@ -6,6 +6,7 @@ Library layout:
   simulation.
 * `graphkit`: graph algorithms, tree decompositions, orientation counting.
 * `oracle`: brute-force solvers enumerating acyclic orientations.
+* `dpkeys`: the table keys of those programs and their invariant.
 * `dpsolver`: dynamic programs over nice tree decompositions.
 * `reductions`: hardness gadget generators and witness orders.
 * `cli`: the `socialpolls` command line tool.

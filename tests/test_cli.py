@@ -426,9 +426,12 @@ class TestScoresCommand:
     # (`scores`), margin mode (`necessary`) and front mode (`possible`),
     # where a row counts (key, vector) pairs: L leaf, I insert, F forget,
     # J join. The two decision sweeps also prune by the outside-agent
-    # bound. The 4-cycle's bag (1, 2, 3) holds the non-friends 1 and 3,
-    # whose states are stored once per order of the bag, not again under
-    # every partial order that leaves them unrelated.
+    # bound. States whose rows differ only where they are settled share
+    # one key, and margin mode (`necessary`) drops, at forgets and joins,
+    # the keys that another key of their votes and order beats. The
+    # 4-cycle's bag (1, 2, 3) holds the non-friends 1 and 3, whose states
+    # are stored once per order of the bag, not again under every partial
+    # order that leaves them unrelated.
     KINDS = {"L": "leaf", "I": "insert", "F": "forget", "J": "join"}
     POLLS = {
         "INST": test_dpsolver.TestSweepCheckIsLive.INST,
@@ -439,20 +442,20 @@ class TestScoresCommand:
 
     ROWS = [
         ("INST", "scores", "LIILIIFIFIJIFFIFF",
-         (1, 3, 6, 1, 3, 6, 6, 22, 6, 22, 28, 56, 40, 21, 20, 14, 10)),
+         (1, 3, 6, 1, 3, 6, 6, 21, 6, 21, 26, 28, 21, 18, 14, 10, 10)),
         ("INST", "necessary", "LIILIIFIFIJIFFIFF",
-         (1, 3, 6, 1, 3, 6, 6, 20, 6, 20, 24, 52, 32, 12, 6, 3, 1)),
+         (1, 3, 6, 1, 3, 6, 5, 14, 5, 14, 10, 20, 12, 9, 4, 3, 1)),
         ("STAR", "scores", "LIILIILIFIFIFIIJJFIFF",
-         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 8, 4, 7, 4, 12, 12, 9, 12, 7, 5)),
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 8, 4, 7, 4, 11, 11, 8, 7, 6, 5)),
         ("STAR", "necessary", "LIILIILIFIFIFIIJJFIFF",
-         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 6, 4, 3, 4, 4, 4, 3, 4, 2, 1)),
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 3, 4, 2, 2, 4, 2, 2, 1, 2, 1, 1)),
         ("INST", "possible", "LIILIIFIFIJIFFIFF",
-         (1, 3, 6, 1, 3, 6, 6, 22, 6, 22, 16, 20, 13, 4, 6, 2, 1)),
+         (1, 3, 6, 1, 3, 6, 6, 21, 6, 21, 16, 8, 5, 3, 2, 1, 1)),
         ("STAR", "possible", "LIILIILIFIFIFIIJJFIFF",
-         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 6, 4, 6, 4, 8, 8, 6, 8, 2, 1)),
-        ("CYCLE", "scores", "LIIIFIFFF", (1, 3, 10, 36, 36, 18, 16, 9, 4)),
-        ("CYCLE", "necessary", "LIIIFIFFF", (1, 3, 8, 31, 31, 7, 6, 4, 1)),
-        ("CYCLE", "possible", "LIIIFIFFF", (1, 3, 10, 19, 19, 11, 10, 4, 1)),
+         (1, 2, 4, 1, 2, 4, 1, 1, 1, 2, 4, 6, 4, 6, 4, 5, 5, 3, 2, 2, 1)),
+        ("CYCLE", "scores", "LIIIFIFFF", (1, 3, 10, 36, 36, 14, 7, 4, 4)),
+        ("CYCLE", "necessary", "LIIIFIFFF", (1, 3, 8, 31, 23, 6, 3, 2, 1)),
+        ("CYCLE", "possible", "LIIIFIFFF", (1, 3, 10, 19, 19, 8, 4, 1, 1)),
     ]
 
     # ids name the poll and question alone, so that new rows keep the

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nice_td_of, small_instances, with_backer
-from socialpolls import dpsolver
+from socialpolls import dpkeys, dpsolver
 from socialpolls.dpsolver import (
     achievable_scores_dp,
     margins_dp,
@@ -168,13 +168,17 @@ class TestMarginSweep:
             gen_random(seed, n, 4, edge_prob=0.4, pref_size=size, max_weight=9)
         )
 
-    def test_necessary_runs_one_sweep(self):
+    def test_necessary_runs_one_sweep(self, monkeypatch):
         padded = with_backer(gen_random(11, 6, 4, edge_prob=0.4, max_weight=9), "c1")
         ntd = nice_td_of(padded)
-        trace = []
-        assert necessary_winner_dp(padded, ntd, "c1", trace=trace) == (True, None)
-        # the bound empties every slice, and the sweep still visits every node
-        assert len(trace) == len(ntd.nodes)
+        trace, found = [], []
+        calls = captured_checks(monkeypatch, lambda: found.append(
+            necessary_winner_dp(padded, ntd, "c1", trace=trace)))
+        assert found == [(True, None)]
+        # the bound empties the first leaf, where the sweep stops, and
+        # every node still has its trace row
+        assert len(calls) == 1 and not calls[0][2]
+        assert [t[:2] for t in trace] == [(i, nd.kind) for i, nd in enumerate(ntd.nodes)]
         assert all(entries == 0 for _, _, entries in trace)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -260,7 +264,8 @@ class TestPossibleFront:
         # node by node: the same nodes as the count sweep, and the keys
         # of its count vectors whose margin vectors pass the node's
         # outside-agent bound, each key's front the minimal such vectors,
-        # so never more entries
+        # so never more entries; a front sweep that empties stops there
+        # and traces the nodes it skips as empty
         inst = gen_random(seed, n, m, edge_prob=0.4)
         ntd = nice_td_of(inst)
         count_trace = []
@@ -274,7 +279,9 @@ class TestPossibleFront:
                     mp, lambda: possible_winner_dp(inst, ntd, c, trace=trace))
             assert [t[:2] for t in trace] == [t[:2] for t in count_trace]
             assert all(t[2] <= u[2] for t, u in zip(trace, count_trace))
-            assert len(calls) == len(count_calls)
+            assert len(calls) == len(count_calls) or (
+                len(calls) < len(count_calls) and not calls[-1][2]
+                and all(t[2] == 0 for t in trace[len(calls):]))
             for (_, rec, fronts, _), (_, _, slices, _) in zip(calls, count_calls):
                 mapped = {}
                 for key, vectors in slices:
@@ -339,25 +346,31 @@ class TestTableShape:
         assert stats["entries"] > 0
 
 
+INF = float("inf")
+
+
 def one_key(inst, bag, v, order, rows, counts=None):
     """The key checker on one key over `bag`, in index form: votes `v`,
-    voting order `order`, one (s_1, ..., s_k, a) counter row per bag
-    agent, and one count vector, or None for a margin key. Agents whose
-    friends all lie in the bag get r = 0, the others no voting-rule
-    bound."""
-    tables = dpsolver._agent_tables(inst)
+    voting order `order`, one (d_1, ..., d_k) row per bag agent, and one
+    count vector, or None for a margin key. Agents whose friends all lie
+    in the bag get r = 0; for the others no friend outside the bag is
+    seen yet, so r is their number."""
+    tables = dpkeys.agent_tables(inst)
     alts, friends = tables[2], tables[3]
-    unseen = tuple(0 if friends[x] <= set(bag) else dpsolver._NO_BOUND for x in bag)
-    rec = dpsolver._bag_record(alts, friends, bag, unseen, None)
+    unseen = tuple(len(friends[x] - set(bag)) for x in bag)
+    rec = dpkeys.bag_record(alts, friends, bag, unseen, None)
     key = (v, order, tuple(f for row in rows for f in row))
     if counts is None:
-        return dpsolver._keys_compatible(tables, rec, [(key, (0,))], "margin")
-    return dpsolver._keys_compatible(tables, rec, [(key, {counts})], "count")
+        return dpkeys.keys_compatible(tables, rec, [(key, (0,))], "margin")
+    return dpkeys.keys_compatible(tables, rec, [(key, {counts})], "count")
 
 
 class TestMutuallyCompatible:
     # are a key's components mutually compatible? Candidates are
-    # indexes: in both polls a = 0 and b = 1
+    # indexes: in both polls a = 0 and b = 1. Each agent here has one
+    # alternative, so one field; a fully seen agent (r = 0) holds the
+    # mark of its vote, (-INF,) for its top and (INF,) for the
+    # alternative
     def setup_method(self):
         self.single = Instance(
             ("a", "b"), (AgentPrefs("a", ["a", "b"]),), (), "a"
@@ -368,27 +381,29 @@ class TestMutuallyCompatible:
         assert one_key(self.single, (), (), (), (), (0, 0))
 
     def test_isolated_agent_voting_top(self):
-        assert one_key(self.single, (0,), (0,), (0,), ((0, 0),), (1, 0))
+        assert one_key(self.single, (0,), (0,), (0,), ((-INF,),), (1, 0))
 
     def test_anterior_above_degree(self):
-        # one claimed prior friend on a friendless agent
-        assert not one_key(self.single, (0,), (0,), (0,), ((0, 1),), (1, 0))
+        # the mark of b stands for d_b > 0, so for at least one earlier
+        # friend voting b: above the degree of a friendless agent
+        assert not one_key(self.single, (0,), (1,), (0,), ((INF,),), (0, 1))
 
     def test_margin_variant_without_counts(self):
-        assert one_key(self.single, (0,), (0,), (0,), ((0, 0),))
+        assert one_key(self.single, (0,), (0,), (0,), ((-INF,),))
 
     def test_oriented_edge_with_follower(self):
         # agent 1 votes after agent 0 and copies its vote for a
-        assert one_key(self.edge, (0, 1), (0, 0), (0, 1), ((0, 0), (1, 1)), (2, 0))
+        assert one_key(self.edge, (0, 1), (0, 0), (0, 1), ((-INF,), (INF,)), (2, 0))
 
     def test_voting_rule_enforced_when_fully_seen(self):
-        # agent 1 claims a non-top vote without a strict majority
-        assert not one_key(self.edge, (0, 1), (1, 0), (0, 1), ((0, 0), (0, 1)), (1, 1))
+        # agent 1 claims a non-top vote without a strict majority: both
+        # hold their vote's mark, which tallies of 0 and -1 cannot reach
+        assert not one_key(self.edge, (0, 1), (1, 0), (0, 1), ((INF,), (INF,)), (1, 1))
 
     def test_unoriented_friendship_edge(self):
         # an order that leaves an agent out orients none of its edges
         for order in ((0,), (1,), ()):
-            assert not one_key(self.edge, (0, 1), (0, 1), order, ((0, 0), (0, 0)), (1, 1))
+            assert not one_key(self.edge, (0, 1), (0, 1), order, ((0,), (0,)), (1, 1))
 
     def test_two_cycle_and_closure(self):
         tri = Instance(
@@ -398,78 +413,111 @@ class TestMutuallyCompatible:
             "a",
         )
         bag, votes = (0, 1, 2), (0, 0, 0)
-        assert one_key(tri, bag, votes, (0, 1, 2), ((0, 0), (0, 1), (0, 2)))
-        assert one_key(tri, bag, votes, (2, 0, 1), ((0, 1), (0, 2), (0, 0)))
+        marks = ((-INF,),) * 3
+        assert one_key(tri, bag, votes, (0, 1, 2), marks)
+        assert one_key(tri, bag, votes, (2, 0, 1), marks)
         # the cycle 0 -> 1 -> 2 -> 0, one earlier friend each, fits no order
         for order in itertools.permutations(bag):
-            assert not one_key(tri, bag, votes, order, ((0, 1), (0, 1), (0, 1)))
+            assert not one_key(tri, bag, votes, order, ((-1,), (-1,), (-1,)))
         # an order that repeats an agent, as a two-cycle would, or lists
         # one outside the bag
         for order in ((0, 1, 0), (0, 1, 0, 2), (0, 1, 2, 0), (0, 1, 3)):
-            assert not one_key(tri, bag, votes, order, ((0, 0), (0, 1), (0, 2)))
+            assert not one_key(tri, bag, votes, order, marks)
+        # with one unseen friend each (r = 1) the rows need no mark, and
+        # their in-bag tallies fix them: 0, -1, -2 friends' worth of the
+        # top along the order, so the cycle still fits no order
+        pendants = Instance(tri.candidates, tri.agents * 2,
+                            ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)), "a")
+        assert one_key(pendants, bag, votes, (0, 1, 2), ((0,), (-1,), (-2,)))
+        assert one_key(pendants, bag, votes, (2, 0, 1), ((-1,), (-2,), (0,)))
+        for order in itertools.permutations(bag):
+            assert not one_key(pendants, bag, votes, order, ((-1,), (-1,), (-1,)))
 
     def test_counts_must_cover_bag_votes(self):
-        assert not one_key(self.single, (0,), (0,), (0,), ((0, 0),), (0, 0))
-        assert not one_key(self.single, (0,), (0,), (0,), ((0, 0),), (1, 5))
+        top = ((-INF,),)
+        assert not one_key(self.single, (0,), (0,), (0,), top, (0, 0))
+        assert not one_key(self.single, (0,), (0,), (0,), top, (1, 5))
         # weighted: the agent's own weight, and at most the total weight
         heavy = Instance(("a", "b"), (AgentPrefs("a", ["a", "b"], 3),), (), "a")
-        assert one_key(heavy, (0,), (0,), (0,), ((0, 0),), (3, 0))
-        assert not one_key(heavy, (0,), (0,), (0,), ((0, 0),), (1, 0))
-        assert not one_key(heavy, (0,), (0,), (0,), ((0, 0),), (3, 1))
+        assert one_key(heavy, (0,), (0,), (0,), top, (3, 0))
+        assert not one_key(heavy, (0,), (0,), (0,), top, (1, 0))
+        assert not one_key(heavy, (0,), (0,), (0,), top, (3, 1))
 
 
-def can_still_vote(top, alts, vote, s, a, r):
-    """Can an agent with counter row (s, a) still cast `vote` if t of its
-    r unseen friends vote before it, for some t <= r, each raising `a`
-    and at most one `s` field by one? Searches t and the raises."""
+def friend_moves(width):
+    """What one friend voting earlier does to a row of `width` fields:
+    +1 on the field of the alternative it votes and -1 on the others,
+    or -1 on every field when it votes none of them."""
+    return [tuple(1 if g == j else -1 for g in range(width)) for j in range(width + 1)]
+
+
+def can_still_vote(top, alts, vote, row, r):
+    """Can an agent with the unmarked row `row` still cast `vote` if t
+    of its r unseen friends vote before it, for some t <= r? Searches t
+    and the friends' votes."""
     for t in range(r + 1):
-        if vote == top:
-            # the raises can all go to candidates outside `alts`
-            if all(2 * q <= a + t for q in s):
+        for votes in itertools.combinations_with_replacement(friend_moves(len(alts)), t):
+            final = [q + sum(move[j] for move in votes) for j, q in enumerate(row)]
+            if vote == top:
+                if all(q <= 0 for q in final):
+                    return True
+            elif final[alts.index(vote)] > 0:
                 return True
-        elif any(2 * (s[alts.index(vote)] + e) > a + t for e in range(t + 1)):
-            return True
     return False
 
 
-def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
-    """The table-key checker as it stood over nested keys (v, D, s, a),
-    with one `s` row and one `a` value per bag agent and `D` the bag in
-    voting order, checking every condition on every key, plus the
-    voting-rule bound of each agent whose `unseen` count is not None. A
-    "count" payload is a container of weighted count vectors, which must
-    not be empty, and every vector is checked; a "front" payload is a
-    non-empty list of margin vectors. With
-    `neg`, the outside-agent bound: some rival of a "margin" payload
+def settled(top, alts, vote, row, r):
+    """Does `row` fix the agent's vote whatever its r unseen friends do?"""
+    if vote == top:
+        return all(q <= -r for q in row)
+    return row[alts.index(vote)] > r
+
+
+def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None, rule=True):
+    """The table-key checker written over nested keys (v, D, rows), with
+    one d row per bag agent and `D` the bag in voting order, checking
+    every condition on every key. An agent's in-friends inside the bag
+    give its row T, and each of its `seen` friends outside the bag, the
+    friends outside the bag minus its `unseen` count r, moves a field
+    by at most one, so an unmarked row lies in the box T +- seen with
+    fields of one parity; with `rule`, it must be able to cast its vote
+    after some t <= r more friends (searched), and at r = 0 it must be
+    its mark. A mark, -inf on every field for the top and +inf on the
+    alternative's field and -inf elsewhere, must stand for some settled
+    row of the box (searched). A "count" payload is a container of
+    weighted count vectors, which must not be empty, and every vector is
+    checked; a "front" payload is a non-empty list of margin vectors.
+    With `neg`, the outside-agent bound: some rival of a "margin" payload
     must still be able to lead (a coordinate above `neg`), and every
     front vector must still be able to end <= 0 (no coordinate above
     `neg`). Kept as the reference for the flat checker."""
-    prefs, top, alts, friends, weights = tables
+    prefs, top, alts, friends, weights = tables[:5]
     pos = {y: k for k, y in enumerate(bag)}
     nbr_in = tuple(tuple(y for y in bag if y in friends[x]) for x in bag)
     total = sum(weights)
-    for (v, order, s, a), payload in items:
-        if len(s) != len(bag) or any(len(s[k]) != len(alts[x]) for k, x in enumerate(bag)):
+    for (v, order, rows), payload in items:
+        if len(rows) != len(bag) or any(len(rows[k]) != len(alts[x])
+                                        for k, x in enumerate(bag)):
             return False
         if sorted(order) != sorted(bag):
             return False
         for k, x in enumerate(bag):
             if v[k] not in prefs[x]:
                 return False
-            if any(q < 0 for q in s[k]) or sum(s[k]) > a[k]:
-                return False
-            if a[k] > len(friends[x]):
-                return False
             ing = [y for y in nbr_in[k] if order.index(y) < order.index(x)]
-            full = len(nbr_in[k]) == len(friends[x])
-            if a[k] < len(ing) or (full and a[k] != len(ing)):
-                return False
-            for j, c in enumerate(alts[x]):
-                seen = sum(1 for y in ing if v[pos[y]] == c)
-                if s[k][j] < seen or (full and s[k][j] != seen):
+            tally = [sum(1 if v[pos[y]] == c else -1 for y in ing) for c in alts[x]]
+            r = unseen[k]
+            seen = len(friends[x]) - len(nbr_in[k]) - r
+            box = (p for p in itertools.product(*(range(t - seen, t + seen + 1)
+                                                  for t in tally))
+                   if len({q % 2 for q in p}) < 2)
+            mark = tuple(INF if c == v[k] else -INF for c in alts[x])
+            if rows[k] == mark:
+                if not any(settled(top[x], alts[x], v[k], p, r) for p in box):
                     return False
-            if unseen[k] is not None and not can_still_vote(
-                    top[x], alts[x], v[k], s[k], a[k], unseen[k]):
+            elif rows[k] not in box:
+                return False
+            elif rule and (r == 0 or not can_still_vote(top[x], alts[x], v[k], rows[k], r)):
                 return False
         if kind == "count":
             if not payload:
@@ -492,22 +540,22 @@ def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None):
 
 
 def nested_item(rec, item):
-    """A flat ((v, D, c), payload) item over bag record `rec` in the
-    nested (v, D, s, a) form, with the payload container as it is;
+    """A flat ((v, D, d), payload) item over bag record `rec` in the
+    nested (v, D, rows) form, with the payload container as it is;
     fields past the bag's rows become one more row."""
-    (v, order, c), payload = item
+    (v, order, d), payload = item
     bag, off = rec.bag, rec.off
-    rows = [c[off[k]:off[k + 1]] for k in range(len(bag))]
-    if len(c) > off[-1]:
-        rows.append(c[off[-1]:])
-    return (v, order, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)), payload
+    rows = [d[off[k]:off[k + 1]] for k in range(len(bag))]
+    if len(d) > off[-1]:
+        rows.append(d[off[-1]:])
+    return (v, order, tuple(rows)), payload
 
 
 def captured_checks(monkeypatch, run):
     """Every (tables, bag record, items, kind) call the sweeps in `run`
     make to the key checker, with the items listed."""
     calls = []
-    real = dpsolver._keys_compatible
+    real = dpsolver.keys_compatible
 
     def spy(tables, rec, items, kind):
         items = list(items)
@@ -515,32 +563,36 @@ def captured_checks(monkeypatch, run):
         return real(tables, rec, items, kind)
 
     with monkeypatch.context() as mp:
-        mp.setattr(dpsolver, "_keys_compatible", spy)
+        mp.setattr(dpsolver, "keys_compatible", spy)
         run()
     return calls
 
 
 def mutants(rng, tables, rec, item, kind, n_candidates):
-    """One-field mutations of a flat item: a vote, an `s` field, an `s`
-    field pushed just past the voting-rule bound, an `a` field, one field
-    too many; in the order an agent dropped, an agent repeated, an agent
-    from outside the bag added and two friends swapped; in count mode
-    also one count vector of the container with a field moved by one or
-    pushed just below the bag's own votes, the others kept (see
-    `bad_counts`), and the empty container; in a bounded margin sweep
-    the payload `neg` itself, <= `neg` everywhere; in front mode the
-    empty front and, when bounded, one more vector just above `neg` in
-    one coordinate."""
+    """One-field mutations of a flat item: a vote, each field of one
+    agent's row moved by one, a field pushed just past the voting-rule
+    bound (keeping the row's parity), the row turned into its vote's
+    mark or a mark turned back into a row, one field too many; in the
+    order an agent dropped, an agent repeated, an agent from outside the
+    bag added and two friends swapped; in count mode also one count
+    vector of the container with a field moved by one or pushed just
+    below the bag's own votes, the others kept (see `bad_counts`), and
+    the empty container; in a bounded margin sweep the payload `neg`
+    itself, <= `neg` everywhere; in front mode the empty front and, when
+    bounded, one more vector just above `neg` in one coordinate."""
     top, alts, friends = tables[1], tables[2], tables[3]
-    (v, order, c), payload = item
+    (v, order, d), payload = item
     bag, off, unseen = rec.bag, rec.off, rec.unseen
-    out = [((v, order, c + (0,)), payload)]
+    out = [((v, order, d + (0,)), payload)]
+
+    def with_row(k, row):
+        return (v, order, d[:off[k]] + tuple(row) + d[off[k + 1]:]), payload
 
     def with_field(i, value):
-        return (v, order, c[:i] + (value,) + c[i + 1:]), payload
+        return (v, order, d[:i] + (value,) + d[i + 1:]), payload
 
     def with_order(changed):
-        return (v, changed, c), payload
+        return (v, changed, d), payload
 
     def inserted(y):
         i = rng.randrange(len(order) + 1)
@@ -549,15 +601,28 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
     if bag:
         k = rng.randrange(len(bag))
         vote = rng.randrange(n_candidates)
-        out.append(((v[:k] + (vote,) + v[k + 1:], order, c), payload))
+        out.append(((v[:k] + (vote,) + v[k + 1:], order, d), payload))
         for i in range(off[k], off[k + 1]):
-            out.append(with_field(i, c[i] + rng.choice((-1, 1))))
-        x, ai, r = bag[k], off[k + 1] - 1, unseen[k]
-        if v[k] == top[x]:
-            if ai > off[k]:
-                out.append(with_field(rng.randrange(off[k], ai), (c[ai] + r) // 2 + 1))
-        elif c[ai] >= r:
-            out.append(with_field(off[k] + alts[x].index(v[k]), (c[ai] - r) // 2))
+            out.append(with_field(i, d[i] + rng.choice((-1, 1))))
+        x, r, width = bag[k], unseen[k], off[k + 1] - off[k]
+        row = d[off[k]:off[k + 1]]
+        mark = tuple(INF if c == v[k] else -INF for c in alts[x])
+        if width:
+            # the parity of the row's other fields, where it has them
+            odd = (row[0] if abs(row[0]) != INF else 0) % 2
+            if v[k] == top[x]:
+                past = r + 1
+                f = rng.randrange(off[k], off[k + 1])
+            else:
+                past = -r
+                f = off[k] + alts[x].index(v[k])
+            out.append(with_field(f, past + (past - odd) % 2 * (1 if past > 0 else -1)))
+        if row == mark:
+            # the least settled row of the vote
+            out.append(with_row(k, [r + 1 if c == v[k] else -r - 1 for c in alts[x]]
+                                if v[k] != top[x] else [-r] * width))
+        else:
+            out.append(with_row(k, mark))
         i = rng.randrange(len(order))
         out.append(with_order(order[:i] + order[i + 1:]))
         out.append(inserted(rng.choice(order)))
@@ -573,15 +638,15 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
         counts = rng.choice(sorted(payload))
         j = rng.randrange(len(counts))
         moved = counts[:j] + (counts[j] + rng.choice((-1, 1)),) + counts[j + 1:]
-        out.append(((v, order, c), (payload - {counts}) | {moved}))
-        out += [((v, order, c), bad) for bad in bad_counts(rng, tables, rec, v, payload)]
+        out.append(((v, order, d), (payload - {counts}) | {moved}))
+        out += [((v, order, d), bad) for bad in bad_counts(rng, tables, rec, v, payload)]
     elif kind == "front":
-        out.append(((v, order, c), []))
+        out.append(((v, order, d), []))
         # a vector without coordinates has none to push above `neg`
         if rec.neg:
-            out.append(((v, order, c), payload + [above(rng, rng.choice(payload), rec.neg)]))
+            out.append(((v, order, d), payload + [above(rng, rng.choice(payload), rec.neg)]))
     elif rec.neg is not None:
-        out.append(((v, order, c), rec.neg))
+        out.append(((v, order, d), rec.neg))
     return out
 
 
@@ -611,7 +676,7 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     for tables, rec, items, kind in calls:
         def agree(flat):
             nested = [nested_item(rec, it) for it in flat]
-            assert dpsolver._keys_compatible(tables, rec, flat, kind) == \
+            assert dpkeys.keys_compatible(tables, rec, flat, kind) == \
                 reference_keys_compatible(tables, rec.bag, nested, kind,
                                           rec.unseen, rec.neg), (rec.bag, flat)
 
@@ -669,7 +734,7 @@ class TestKeyChecker:
                 (v, order, c), counts = items[idx]
                 for bad in bad_counts(rng, tables, rec, v, counts):
                     corrupt = items[:idx] + [((v, order, c), bad)] + items[idx + 1:]
-                    assert not dpsolver._keys_compatible(tables, rec, corrupt, kind)
+                    assert not dpkeys.keys_compatible(tables, rec, corrupt, kind)
                     assert not reference_keys_compatible(
                         tables, rec.bag, [nested_item(rec, it) for it in corrupt], kind,
                         rec.unseen)
@@ -695,7 +760,7 @@ class TestKeyChecker:
                 bad = (rec.neg if kind == "margin"
                        else payload + [above(rng, rng.choice(payload), rec.neg)])
                 corrupt = items[:idx] + [(key, bad)] + items[idx + 1:]
-                assert not dpsolver._keys_compatible(tables, rec, corrupt, kind)
+                assert not dpkeys.keys_compatible(tables, rec, corrupt, kind)
                 assert not reference_keys_compatible(
                     tables, rec.bag, [nested_item(rec, it) for it in corrupt], kind,
                     rec.unseen, rec.neg)
@@ -708,10 +773,10 @@ def join_without_overlap(original):
     subtract the overlap of its two sides."""
     def join(self, rec, left, right):
         sl = {}
-        for (v, d, c), p in original(self, rec, left, right).items():
-            ins = dpsolver._in_friends(self.nbr, rec.bag, d)
-            extra = dpsolver._tallies(self.alts, rec.bag, v, ins)
-            self._merge(sl, (v, d, tuple(map(add, c, extra))), p)
+        for (v, order, d), p in original(self, rec, left, right).items():
+            ins = dpkeys.in_friends(self.nbr, rec.bag, order)
+            extra = dpkeys.tallies(self.alts, rec.bag, v, ins)
+            self._merge(sl, (v, order, tuple(map(add, d, extra))), p)
         return sl
     return join
 
@@ -725,13 +790,13 @@ def places_without_bumps(original):
 
 def unpruned(original, above_leaves=False, bound=False):
     """An insert or join that prunes nothing by the voting rule: its bag
-    record gives every bag agent `_NO_BOUND` unseen friends. With `bound`
-    it drops the outside-agent bound too, and with `above_leaves` it
-    changes only the inserts into an empty bag, which sit right above
+    record gives every bag agent `dpkeys.NO_BOUND` unseen friends. With
+    `bound` it drops the outside-agent bound too, and with `above_leaves`
+    it changes only the inserts into an empty bag, which sit right above
     the leaves."""
     def transition(self, rec, *args):
         if not above_leaves or not args[0].bag:
-            rec = rec._replace(unseen=(dpsolver._NO_BOUND,) * len(rec.bag))
+            rec = rec._replace(unseen=(dpkeys.NO_BOUND,) * len(rec.bag))
             if bound:
                 rec = rec._replace(neg=None)
         return original(self, rec, *args)
@@ -741,7 +806,7 @@ def unpruned(original, above_leaves=False, bound=False):
 def forgotten_row(crec, x):
     """Where the forgotten agent x sits in the child's bag (record
     `crec`), and where its row starts and stops in the child's flat
-    counters."""
+    rows."""
     px = crec.bag.index(x)
     off = crec.off
     return px, off[px], off[px + 1]
@@ -749,13 +814,13 @@ def forgotten_row(crec, x):
 
 def forget_keeping_row(original):
     """A forget that moves the forgotten agent's row to the end of the
-    counters instead of dropping it."""
+    rows instead of dropping it."""
     def forget(self, crec, child, x):
         px, start, stop = forgotten_row(crec, x)
         sl = {}
-        for (v, d, c), p in child.items():
-            order = tuple(y for y in d if y != x)
-            self._merge(sl, (v[:px] + v[px + 1:], order, c[:start] + c[stop:] + c[start:stop]),
+        for (v, order, d), p in child.items():
+            order = tuple(y for y in order if y != x)
+            self._merge(sl, (v[:px] + v[px + 1:], order, d[:start] + d[stop:] + d[start:stop]),
                         p)
         return sl
     return forget
@@ -768,9 +833,8 @@ def forget_with_rule(original):
         px, start, stop = forgotten_row(crec, x)
 
         def obeys(key):
-            v, _, c = key
-            s, a = c[start:stop - 1], c[stop - 1]
-            held = [alt for alt, q in zip(self.alts[x], s) if 2 * q > a]
+            v, _, d = key
+            held = [alt for alt, q in zip(self.alts[x], d[start:stop]) if q > 0]
             return v[px] == (held[0] if held else self.tables[1][x])
 
         return original(self, crec, {k: p for k, p in child.items() if obeys(k)}, x)
@@ -833,6 +897,12 @@ class TestSweepCheckIsLive:
         method = "_join" if kind == "join" else "_insert"
         monkeypatch.setattr(dpsolver._Engine, method,
                             unpruned(getattr(dpsolver._Engine, method), kind == "leaf"))
+        if kind == "join":
+            # in margin mode a live key of the same (v, D) beats every
+            # dead key of this join, so that only without dominance are
+            # they stored
+            monkeypatch.setattr(dpsolver._Engine, "_undominated_margin",
+                                staticmethod(dpsolver._Engine._every_key))
         with pytest.raises(AssertionError,
                            match=r"^incompatible key stored at node \d+$") as info:
             SWEEPS[mode](inst, ntd)
@@ -871,13 +941,14 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
     """Per sweep of `sweep_all`, the trace and the root answer, with the
     reference checker on every stored slice. Unpruned, the insert and
     join prune nothing, the forget applies the voting rule, and the
-    checker skips the voting-rule and outside-agent bounds."""
+    checker skips the voting-rule and outside-agent bounds, so it takes
+    the unmarked rows of fully seen agents too."""
     results = []
 
     def check(tables, rec, items, kind):
-        unseen, neg = (rec.unseen, rec.neg) if pruned else ((None,) * len(rec.bag), None)
         nested = [nested_item(rec, it) for it in items]
-        return reference_keys_compatible(tables, rec.bag, nested, kind, unseen, neg)
+        return reference_keys_compatible(tables, rec.bag, nested, kind, rec.unseen,
+                                         rec.neg if pruned else None, rule=pruned)
 
     def run(self, real=dpsolver._Engine.run):
         root = real(self)
@@ -885,7 +956,7 @@ def sweeps_with_reference_checker(inst, ntd, pruned):
         return root
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dpsolver, "_keys_compatible", check)
+        mp.setattr(dpsolver, "keys_compatible", check)
         mp.setattr(dpsolver._Engine, "run", run)
         if not pruned:
             for method in ("_insert", "_join"):
@@ -905,10 +976,10 @@ class TestPruning:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_unseen_counts_friends_outside_the_subtree(self, inst):
-        alts, friends = dpsolver._agent_tables(inst)[2:4]
+        alts, friends = dpkeys.agent_tables(inst)[2:4]
         for ntd in all_decompositions(inst):
             below = []
-            for nd, rec in zip(ntd.nodes, dpsolver._bags(ntd, alts, friends)):
+            for nd, rec in zip(ntd.nodes, dpkeys.bag_records(ntd, alts, friends)):
                 seen = set(nd.bag).union(*(below[k] for k in nd.children))
                 below.append(seen)
                 assert rec.bag == nd.bag
@@ -925,3 +996,76 @@ class TestPruning:
             assert root == full_root
             assert [t[:2] for t in trace] == [t[:2] for t in full_trace]
             assert all(t[2] <= f[2] for t, f in zip(trace, full_trace))
+
+
+def sweeps_merged_or_not(inst, ntd, merged):
+    """The answers of `sweep_all`'s sweeps, then per sweep its trace and
+    root slice. Unmerged, no row is marked, since every settled bound is
+    out of reach, and margin mode keeps every key; the checker then reads
+    each settled row as its mark."""
+    answers, results = [], []
+
+    def run(self, real=dpsolver._Engine.run):
+        root = real(self)
+        results.append((self.trace, root))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpsolver._Engine, "run", run)
+        if not merged:
+            rules_of, check = dpsolver.rule_bounds, dpsolver.keys_compatible
+
+            def unsettled_rules(tables, rec, v, positions):
+                return [rule[:5] + (dpkeys.NO_BOUND,) + rule[6:]
+                        for rule in rules_of(tables, rec, v, positions)]
+
+            def check_marked(tables, rec, items, kind):
+                every = range(len(rec.bag))
+                marked = []
+                for (v, order, d), payload in items:
+                    rows = dpkeys.settle(d, rules_of(tables, rec, v, every))
+                    marked.append(((v, order, d if rows is None else rows), payload))
+                return check(tables, rec, marked, kind)
+
+            mp.setattr(dpsolver, "rule_bounds", unsettled_rules)
+            mp.setattr(dpsolver, "keys_compatible", check_marked)
+            mp.setattr(dpsolver._Engine, "_undominated_margin",
+                       staticmethod(dpsolver._Engine._every_key))
+        answers.append(achievable_scores_dp(inst, ntd, trace=[]))
+        for c in inst.candidates:
+            answers.append(margins_dp(inst, ntd, c, trace=[]))
+            answers.append(necessary_winner_dp(inst, ntd, c, trace=[]))
+            answers.append(possible_winner_dp(inst, ntd, c, trace=[]))
+    return answers, results
+
+
+def sorted_root(root):
+    """A root slice with each container as a sorted list."""
+    return {key: sorted(p) if isinstance(p, (set, list)) else p for key, p in root.items()}
+
+
+class TestMerging:
+    @pytest.mark.parametrize("max_weight", (1, 5))
+    @pytest.mark.parametrize("size", (1, 2, 3))
+    def test_marks_and_dominance_keep_every_root(self, size, max_weight):
+        # settled rows sharing one mark and margin mode's dominated keys
+        # dropped: the same roots, answers and offenders as sweeps that do
+        # neither, from no more entries at any node
+        rng = random.Random(10 * size + max_weight)
+        fewer = 0
+        for _ in range(8):
+            inst = gen_random(rng.randrange(10**6), rng.randint(2, 7), rng.randint(2, 4),
+                              edge_prob=0.4, pref_size=size, max_weight=max_weight)
+            ntd = nice_td_of(inst)
+            answers, merged = sweeps_merged_or_not(inst, ntd, True)
+            full_answers, full = sweeps_merged_or_not(inst, ntd, False)
+            assert answers == full_answers
+            assert len(merged) == len(full)
+            for (trace, root), (full_trace, full_root) in zip(merged, full):
+                assert sorted_root(root) == sorted_root(full_root)
+                assert [t[:2] for t in trace] == [t[:2] for t in full_trace]
+                assert all(t[2] <= f[2] for t, f in zip(trace, full_trace))
+                fewer += sum(f[2] - t[2] for t, f in zip(trace, full_trace))
+        # with one preferred candidate no agent has a row, and one (v, D)
+        # holds one key
+        assert fewer > 0 if size > 1 else fewer == 0
