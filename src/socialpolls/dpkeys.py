@@ -35,16 +35,17 @@ other friend can) and the number of its friends outside the bag that
 the subtree holds, and for a bounded sweep the outside-agent bound
 `neg` of `dpsolver`.
 
-A row is settled when no friend still to come can change its agent's
-vote: a top voter with every d_j <= -r, or a voter of alternative j
-with d_j > r. A settled row is replaced by its vote's mark, -inf in
-every field for the top and +inf in field j, -inf elsewhere, for
-alternative j; later deltas and join sums leave a mark as it is, and
-states whose rows differ only where they are settled share one key.
-`settle` marks the settled rows of a key and tells a dead one, where no
-future can make some row agree with its agent's vote, from a live one.
-Once every friend of an agent is seen (r = 0) a live row is settled,
-so only marks are ever forgotten.
+Once every friend of an agent is seen (r = 0) its row can change no
+more, and the voting rule has read it: a live row is replaced by its
+vote's mark, -inf in every field for the top and +inf in field j, -inf
+elsewhere, for alternative j. Later deltas and join sums leave a mark as
+it is, and states whose fully seen agents cast the same votes from
+different rows share one key. So a row is its vote's mark if and only
+if its agent has r = 0, which the bag record alone tells; a row is not
+marked earlier, even where no friend still to come can change its vote.
+`settle` marks the rows of fully seen agents and tells a dead key, where
+no future can make some row agree with its agent's vote, from a live
+one.
 
 The key invariant is written once, in `keys_compatible`, and includes
 the voting-rule bound and the outside-agent bound. The sweep asserts it
@@ -62,7 +63,7 @@ NO_BOUND = float("inf")
 def agent_tables(inst):
     """Per-agent (prefs, top, alts, friends, weights, marks): sorted
     preferred candidate indexes, the top index, the non-top preferred
-    indexes, friend sets, weights, and {vote: the fixed row of a settled
+    indexes, friend sets, weights, and {vote: the mark of a fully seen
     agent casting it} (module docstring)."""
     prefs = tuple(row[1] for row in inst.ballots)
     top = tuple(row[0] for row in inst.ballots)
@@ -219,13 +220,11 @@ def rule_bounds(tables, rec, v, positions):
     field of its row by one. So it is dead when it votes its top and
     d_j > r for some j, or when it votes the alternative j and
     d_j <= -r; with r = 0 this is the voting rule itself, and with r =
-    `NO_BOUND` no bound at all. It is settled when it votes its top and
-    every d_j <= -r, or the alternative j and d_j > r. Each bound is
-    (start, stop, f, sign, low, high, mark), for `settle`: the agent's row
-    is d[start:stop], its reading t is sign·d[f], or -max(row) where f
-    is None, and the agent is alive while t >= low and settled once t >=
-    high, when its row becomes `mark`. Agents without alternatives have
-    no bound."""
+    `NO_BOUND` no bound at all. Each bound is (start, stop, f, sign, low,
+    mark), for `settle`: the agent's row is d[start:stop], its reading t
+    is sign·d[f], or -max(row) where f is None, and the agent is alive
+    while t >= low. `mark` is the row of a live agent at r = 0, and None
+    at r > 0. Agents without alternatives have no bound."""
     top, alts, marks = tables[1], tables[2], tables[5]
     bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = []
@@ -235,12 +234,12 @@ def rule_bounds(tables, rec, v, positions):
             continue
         r = unseen[k]
         x = bag[k]
-        mark = marks[x][v[k]]
+        mark = None if r else marks[x][v[k]]
         f = _field(top, alts, x, v[k], start)
         if f is None:
-            out.append((start, stop, start if stop - start == 1 else None, -1, -r, r, mark))
+            out.append((start, stop, start if stop - start == 1 else None, -1, -r, mark))
         else:
-            out.append((start, stop, f, 1, 1 - r, r + 1, mark))
+            out.append((start, stop, f, 1, 1 - r, mark))
     return out
 
 
@@ -267,36 +266,27 @@ def rule_reader(tables, rec, v):
 
 
 def settle(d, rules):
-    """`d` with the row of every settled agent in `rules` (see `rule_bounds`)
-    replaced by its mark, or None when some agent can no longer meet the
-    voting rule. A mark reads +inf, so it is never marked again."""
-    for start, stop, f, sign, low, high, mark in rules:
+    """`d` with the row of every fully seen agent in `rules` (see
+    `rule_bounds`) replaced by its mark, or None when some agent can no
+    longer meet the voting rule. A mark reads +inf, so it is never
+    marked again."""
+    for start, stop, f, sign, low, mark in rules:
         t = -max(d[start:stop]) if f is None else sign * d[f]
         if t < low:
             return None
-        if t >= high and t != NO_BOUND:
+        if mark is not None and t != NO_BOUND:
             d = d[:start] + mark + d[stop:]
     return d
 
 
 def _reachable(tally, row):
-    """Can some unmarked row of `row`'s box (see `keys_compatible`) be
-    settled, so that its mark stands for a real state?"""
-    start, stop, f, r, seen, _ = row
+    """Is some row of the box of a fully seen agent's `row` (see
+    `keys_compatible`) live, so that its mark stands for a real
+    state?"""
+    start, stop, f, seen = row
     if f is None:
-        return max(tally[start:stop]) - seen <= -r
-    return tally[f] + seen > r
-
-
-def _row_fits(d, tally, lo, hi, row):
-    """Is the row of `row` in `d` its reachable mark, or inside the
-    bounds `lo` and `hi` with fields of one parity?"""
-    start, stop, _, _, _, mark = row
-    part = d[start:stop]
-    if part == mark:
-        return _reachable(tally, row)
-    return (all(map(le, lo[start:stop], part)) and all(map(le, part, hi[start:stop]))
-            and len({q % 2 for q in part}) < 2)
+        return max(tally[start:stop]) <= seen
+    return tally[f] + seen > 0
 
 
 def keys_compatible(tables, rec, items, kind):
@@ -312,31 +302,29 @@ def keys_compatible(tables, rec, items, kind):
     coordinate and a front vector must not exceed it in any. The checker
     reads only that static record, never what a transition computed.
 
-    Each bag agent's row is its vote's mark or an unmarked row. Let T
-    be the row that the agent's in-friends inside the bag account for.
-    Each friend outside the bag that the subtree holds (`seen`) moves
-    every field by at most one, and the r unseen ones bound the voting
-    rule as in `rule_bounds`. So an unmarked row lies in the box [T - seen,
-    T + seen] cut to the rule's interval (d_j <= r for a top voter,
-    d_j >= 1 - r for a voter of alternative j), and its fields share a
-    parity, since each is 2·s_j - a. A mark must be reachable: some row
-    of the box is settled. At r = 0 every live row is settled, so the
-    row must be its mark.
+    Let T be the row that a bag agent's in-friends inside the bag
+    account for. Each friend outside the bag that the subtree holds
+    (`seen`) moves every field by at most one, and the r unseen ones
+    bound the voting rule as in `rule_bounds`. So at r > 0 the row lies
+    in the box [T - seen, T + seen] cut to the rule's interval (d_j <= r
+    for a top voter, d_j >= 1 - r for a voter of alternative j), and its
+    fields share a parity, since each is 2·s_j - a. At r = 0 the row is
+    its vote's mark, which must be reachable: some row of the box is
+    live.
 
     The conditions on v alone are checked once per distinct v, and
     those on D alone once per distinct D. The bounds that v and D put
     on the rows are built once per (v, D) with `map`, as one flat lower
     and one flat upper bound tuple that pin a row at r = 0 to its mark,
-    whose reachability is checked there too. A key whose rows fit these
-    bounds with one parity per row passes; only a key that does not, as
-    one holding a mark at r > 0, is checked row by row."""
+    whose reachability is checked there too. A key passes when its rows
+    fit these bounds with one parity per row at r > 0."""
     prefs, top, alts, friends, weights, marks = tables
     bag, off, unseen, seen, spread, pairs, neg = (
         rec.bag, rec.off, rec.unseen, rec.seen, rec.spread, rec.pairs, rec.neg)
     counted = kind == "count"
     total = sum(weights) if counted else None
     groups = {}  # D -> (in-friend positions, {v: bounds})
-    votes = {}  # v -> (count floor, rule's lower and upper bounds, rows, rows at r = 0)
+    votes = {}  # v -> (count floor, rule's lower and upper bounds, rows at r = 0)
     for (v, order, d), payload in items:
         if kind != "margin" and not payload:
             return False
@@ -351,21 +339,19 @@ def keys_compatible(tables, rec, items, kind):
             by_vote = votes.get(v)
             if by_vote is None:
                 # per field, the rule's interval at r > 0 and the mark at r = 0
-                low, high, rows, pinned = [], [], [], []
+                low, high, pinned = [], [], []
                 for k, x in enumerate(bag):
                     if v[k] not in prefs[x]:
                         return False
                     start, stop = off[k], off[k + 1]
                     if start == stop:
                         continue
-                    r, mark = unseen[k], marks[x][v[k]]
+                    r = unseen[k]
                     f = _field(top, alts, x, v[k], start)
-                    row = start, stop, f, r, seen[k], mark
-                    rows.append(row)
                     if not r:
-                        pinned.append(row)
-                        low += mark
-                        high += mark
+                        pinned.append((start, stop, f, seen[k]))
+                        low += marks[x][v[k]]
+                        high += marks[x][v[k]]
                     elif f is None:
                         low += [-NO_BOUND] * (stop - start)
                         high += [r] * (stop - start)
@@ -378,22 +364,18 @@ def keys_compatible(tables, rec, items, kind):
                     floor = [0] * len(next(iter(payload)))
                     for x, vk in zip(bag, v):
                         floor[vk] += weights[x]
-                by_vote = votes[v] = floor, low, high, rows, pinned
-            floor, low, high, rows, pinned = by_vote
+                by_vote = votes[v] = floor, low, high, pinned
+            floor, low, high, pinned = by_vote
             tally = tallies(alts, bag, v, group[0])
             for row in pinned:
                 if not _reachable(tally, row):
                     return False
-            bounds = group[1][v] = (tally, tuple(map(max, map(sub, tally, spread), low)),
-                                    tuple(map(min, map(add, tally, spread), high)), floor, rows)
-        tally, lo, hi, floor, rows = bounds
-        if len(d) != off[-1]:
-            return False
-        if not (all(map(le, lo, d)) and all(map(le, d, hi))
+            bounds = group[1][v] = (tuple(map(max, map(sub, tally, spread), low)),
+                                    tuple(map(min, map(add, tally, spread), high)), floor)
+        lo, hi, floor = bounds
+        if not (len(d) == off[-1] and all(map(le, lo, d)) and all(map(le, d, hi))
                 and (not pairs or all([(d[f] - d[g]) % 2 == 0 for f, g in pairs]))):
-            for row in rows:
-                if not _row_fits(d, tally, lo, hi, row):
-                    return False
+            return False
         if counted:
             for counts in payload:
                 if not (all(map(le, floor, counts)) and sum(counts) <= total):

@@ -3,7 +3,7 @@
 All three programs sweep the nice tree bottom up, keeping per-node
 tables of partial poll states under the keys `(v, D, d)` of `dpkeys`:
 the bag agents' votes, their voting order and one flat tuple of the rows
-the voting rule reads, with settled rows marked.
+the voting rule reads, a fully seen agent's row as its vote's mark.
 
 Every transition moves the rows linearly. With flat rows a join adds
 two keys' rows with one `map` and subtracts the in-bag tallies that
@@ -13,7 +13,7 @@ after it by deltas precomputed once per place of the new agent in the
 child's order. Leaves are empty (see `graphkit`), so a leaf holds the
 empty state `((), (), ())` alone and an agent enters the tables only at
 an insert. Inserts and joins, where rows and unseen counts change, mark
-the settled rows (`dpkeys.settle`).
+the rows of the agents whose friends are now all seen (`dpkeys.settle`).
 
 Every program's slice maps a key `(v, D, d)` to one payload container,
 and the programs differ only in that container and in four functions
@@ -460,23 +460,22 @@ class _Engine:
             dup = self.zero
             for k, x in enumerate(bag):
                 dup = tuple(map(add, dup, self.values[x][v[k]]))
-            alone = shift(self.start, dup)
             minus = tuple(map(sub, self.zero, dup))
             # the rows and unseen counts of agents whose friends all lie
             # in the bag are the same marks on both sides and here
             rules = rules_of.get(v)
             if rules is None:
                 rules = rules_of[v] = rule_bounds(self.tables, rec, v, rec.outer)
-            # None where the right side adds nothing, so that the left
-            # side's tuple or container is stored as it is
+            # None where the right side adds nothing to the rows, so that
+            # the left side's tuple is kept as it is
             rights = [(None if d2 == overlap else tuple(map(sub, d2, overlap)),
-                       None if p2 == alone else shift(p2, minus))
+                       shift(p2, minus))
                       for d2, p2 in rights]
             for d1, p1 in lefts:
                 for d2, p2 in rights:
                     rows = settle(d1 if d2 is None else tuple(map(add, d1, d2)), rules)
                     if rows is not None:
-                        p = p1 if p2 is None else combine(p1, p2)
+                        p = combine(p1, p2)
                         if neg is not None:
                             p = cut(p, neg)
                             if p is None:

@@ -1,8 +1,10 @@
 """Tree-decomposition dynamic programs against the brute-force oracle."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from operator import add, le
 
 import pytest
@@ -345,6 +347,29 @@ class TestTableShape:
         margins_dp(inst, nice_td_of(inst), "a", stats=stats)
         assert stats["entries"] > 0
 
+    @pytest.mark.parametrize("kind", [
+        {},
+        {"rivals": (1, 2), "c": 0},
+        {"rivals": (1, 2), "c": 0, "bounded": True},
+        {"rivals": (1, 2), "c": 0, "front": True, "bounded": True},
+    ], ids=("count", "margin", "bounded-margin", "front"))
+    def test_engine_holds_no_reference_to_itself(self, kind):
+        # without a cycle through the engine, reference counting frees it
+        # and its tables as soon as the sweep's caller drops it
+        inst = gen_random(2, 6, 3, edge_prob=0.5, pref_size=3, max_weight=3)
+        ntd = nice_td_of(inst)
+
+        def swept():
+            engine = dpsolver._Engine(inst, ntd, **kind)
+            engine.run()
+            return weakref.ref(engine)
+
+        gc.disable()
+        try:
+            assert swept()() is None
+        finally:
+            gc.enable()
+
 
 INF = float("inf")
 
@@ -466,13 +491,6 @@ def can_still_vote(top, alts, vote, row, r):
     return False
 
 
-def settled(top, alts, vote, row, r):
-    """Does `row` fix the agent's vote whatever its r unseen friends do?"""
-    if vote == top:
-        return all(q <= -r for q in row)
-    return row[alts.index(vote)] > r
-
-
 def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None, rule=True):
     """The table-key checker written over nested keys (v, D, rows), with
     one d row per bag agent and `D` the bag in voting order, checking
@@ -483,10 +501,11 @@ def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None, rule=T
     fields of one parity; with `rule`, it must be able to cast its vote
     after some t <= r more friends (searched), and at r = 0 it must be
     its mark. A mark, -inf on every field for the top and +inf on the
-    alternative's field and -inf elsewhere, must stand for some settled
-    row of the box (searched). A "count" payload is a container of
-    weighted count vectors, which must not be empty, and every vector is
-    checked; a "front" payload is a non-empty list of margin vectors.
+    alternative's field and -inf elsewhere, is only the row of an agent
+    with r = 0 or without alternatives, and must stand for some row of
+    the box that casts the vote (searched). A "count" payload is a
+    container of weighted count vectors, which must not be empty, and
+    every vector is checked; a "front" payload is a non-empty list of margin vectors.
     With `neg`, the outside-agent bound: some rival of a "margin" payload
     must still be able to lead (a coordinate above `neg`), and every
     front vector must still be able to end <= 0 (no coordinate above
@@ -512,8 +531,8 @@ def reference_keys_compatible(tables, bag, items, kind, unseen, neg=None, rule=T
                                                   for t in tally))
                    if len({q % 2 for q in p}) < 2)
             mark = tuple(INF if c == v[k] else -INF for c in alts[x])
-            if rows[k] == mark:
-                if not any(settled(top[x], alts[x], v[k], p, r) for p in box):
+            if rows[k] == mark and (r == 0 or not alts[x]):
+                if not any(can_still_vote(top[x], alts[x], v[k], p, 0) for p in box):
                     return False
             elif rows[k] not in box:
                 return False
@@ -571,8 +590,7 @@ def captured_checks(monkeypatch, run):
 def mutants(rng, tables, rec, item, kind, n_candidates):
     """One-field mutations of a flat item: a vote, each field of one
     agent's row moved by one, a field pushed just past the voting-rule
-    bound (keeping the row's parity), the row turned into its vote's
-    mark or a mark turned back into a row, one field too many; in the
+    bound (keeping the row's parity), one field too many; in the
     order an agent dropped, an agent repeated, an agent from outside the
     bag added and two friends swapped; in count mode also one count
     vector of the container with a field moved by one or pushed just
@@ -584,9 +602,6 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
     (v, order, d), payload = item
     bag, off, unseen = rec.bag, rec.off, rec.unseen
     out = [((v, order, d + (0,)), payload)]
-
-    def with_row(k, row):
-        return (v, order, d[:off[k]] + tuple(row) + d[off[k + 1]:]), payload
 
     def with_field(i, value):
         return (v, order, d[:i] + (value,) + d[i + 1:]), payload
@@ -606,7 +621,6 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
             out.append(with_field(i, d[i] + rng.choice((-1, 1))))
         x, r, width = bag[k], unseen[k], off[k + 1] - off[k]
         row = d[off[k]:off[k + 1]]
-        mark = tuple(INF if c == v[k] else -INF for c in alts[x])
         if width:
             # the parity of the row's other fields, where it has them
             odd = (row[0] if abs(row[0]) != INF else 0) % 2
@@ -617,12 +631,6 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
                 past = -r
                 f = off[k] + alts[x].index(v[k])
             out.append(with_field(f, past + (past - odd) % 2 * (1 if past > 0 else -1)))
-        if row == mark:
-            # the least settled row of the vote
-            out.append(with_row(k, [r + 1 if c == v[k] else -r - 1 for c in alts[x]]
-                                if v[k] != top[x] else [-r] * width))
-        else:
-            out.append(with_row(k, mark))
         i = rng.randrange(len(order))
         out.append(with_order(order[:i] + order[i + 1:]))
         out.append(inserted(rng.choice(order)))
@@ -650,6 +658,26 @@ def mutants(rng, tables, rec, item, kind, n_candidates):
     return out
 
 
+def toggled_mark(tables, rec, item, k):
+    """The flat item with bag agent k's row toggled: its vote's mark
+    where the agent has unseen friends (r > 0), the least row casting
+    that vote at r = 0 (where the row is the mark); None for an agent
+    without alternatives. A row is its vote's mark exactly where r = 0,
+    so no checker may take the result."""
+    top, alts = tables[1], tables[2]
+    (v, order, d), payload = item
+    x, r, off = rec.bag[k], rec.unseen[k], rec.off
+    if not alts[x]:
+        return None
+    if r:
+        row = tuple(INF if c == v[k] else -INF for c in alts[x])
+    elif v[k] == top[x]:
+        row = (0,) * len(alts[x])
+    else:
+        row = tuple(1 if c == v[k] else -1 for c in alts[x])
+    return (v, order, d[:off[k]] + row + d[off[k + 1]:]), payload
+
+
 def above(rng, p, neg):
     """`p` with one coordinate set just above `neg`."""
     j = rng.randrange(len(p))
@@ -672,13 +700,16 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
     mutants of sampled items alone, and on each mutant placed after the
     first items of its slice that share its order, so that the per-order
     and per-(v, D) caches are filled when it arrives (a payload mutant
-    then arrives after its own key with the original container)."""
+    then arrives after its own key with the original container). Every
+    row of a sampled item toggled between unmarked and its vote's mark
+    (`toggled_mark`) must fail both checkers, alone and so placed."""
     for tables, rec, items, kind in calls:
         def agree(flat):
             nested = [nested_item(rec, it) for it in flat]
-            assert dpkeys.keys_compatible(tables, rec, flat, kind) == \
-                reference_keys_compatible(tables, rec.bag, nested, kind,
-                                          rec.unseen, rec.neg), (rec.bag, flat)
+            verdict = dpkeys.keys_compatible(tables, rec, flat, kind)
+            assert verdict == reference_keys_compatible(tables, rec.bag, nested, kind,
+                                                        rec.unseen, rec.neg), (rec.bag, flat)
+            return verdict
 
         agree(items)
         for idx in rng.sample(range(len(items)), min(per_slice, len(items))):
@@ -687,6 +718,11 @@ def compare_checkers(calls, n_candidates, rng, per_slice=3, siblings=40):
             for mutant in mutants(rng, tables, rec, items[idx], kind, n_candidates):
                 agree([mutant])
                 agree(before + [mutant])
+            for k in range(len(rec.bag)):
+                mutant = toggled_mark(tables, rec, items[idx], k)
+                if mutant is not None:
+                    assert not agree([mutant])
+                    assert not agree(before + [mutant])
 
 
 def sweep_all(inst):
@@ -718,6 +754,28 @@ class TestKeyChecker:
                      gen_random(seed, 5, m, edge_prob=0.4, pref_size=3, max_weight=5)):
             calls = captured_checks(monkeypatch, lambda: sweep_all(inst))
             compare_checkers(calls, m, rng)
+
+    @pytest.mark.parametrize("size", (1, 2, 3))
+    def test_rows_are_marks_exactly_where_fully_seen(self, monkeypatch, size):
+        # every stored row of an agent with alternatives is its vote's
+        # mark if and only if the agent has no unseen friend (r = 0)
+        marked = unmarked = 0
+        for seed in range(3):
+            inst = gen_random(seed, 7, 3, edge_prob=0.4, pref_size=size, max_weight=3)
+            calls = captured_checks(monkeypatch, lambda: sweep_all(inst))
+            for tables, rec, items, kind in calls:
+                alts = tables[2]
+                for (v, _, d), _ in items:
+                    for k, x in enumerate(rec.bag):
+                        if not alts[x]:
+                            continue
+                        mark = tuple(INF if c == v[k] else -INF for c in alts[x])
+                        is_mark = d[rec.off[k]:rec.off[k + 1]] == mark
+                        assert is_mark == (rec.unseen[k] == 0), (rec.bag, v, d)
+                        marked += is_mark
+                        unmarked += not is_mark
+        # with one preferred candidate no agent has alternatives
+        assert (marked > 0 and unmarked > 0) if size > 1 else marked == unmarked == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bad_count_containers_are_rejected(self, monkeypatch, seed):
@@ -1000,9 +1058,9 @@ class TestPruning:
 
 def sweeps_merged_or_not(inst, ntd, merged):
     """The answers of `sweep_all`'s sweeps, then per sweep its trace and
-    root slice. Unmerged, no row is marked, since every settled bound is
-    out of reach, and margin mode keeps every key; the checker then reads
-    each settled row as its mark."""
+    root slice. Unmerged, no row is marked, since every bound's mark is
+    taken away, and margin mode keeps every key; the checker then reads
+    each fully seen agent's row as its mark."""
     answers, results = [], []
 
     def run(self, real=dpsolver._Engine.run):
@@ -1016,8 +1074,7 @@ def sweeps_merged_or_not(inst, ntd, merged):
             rules_of, check = dpsolver.rule_bounds, dpsolver.keys_compatible
 
             def unsettled_rules(tables, rec, v, positions):
-                return [rule[:5] + (dpkeys.NO_BOUND,) + rule[6:]
-                        for rule in rules_of(tables, rec, v, positions)]
+                return [rule[:5] + (None,) for rule in rules_of(tables, rec, v, positions)]
 
             def check_marked(tables, rec, items, kind):
                 every = range(len(rec.bag))
@@ -1048,7 +1105,7 @@ class TestMerging:
     @pytest.mark.parametrize("max_weight", (1, 5))
     @pytest.mark.parametrize("size", (1, 2, 3))
     def test_marks_and_dominance_keep_every_root(self, size, max_weight):
-        # settled rows sharing one mark and margin mode's dominated keys
+        # fully seen rows sharing one mark and margin mode's dominated keys
         # dropped: the same roots, answers and offenders as sweeps that do
         # neither, from no more entries at any node
         rng = random.Random(10 * size + max_weight)

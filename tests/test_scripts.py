@@ -1,7 +1,10 @@
-"""Smoke runs of the cross-check and scaling scripts under scripts/, and
-of the benchmark's tracer."""
+"""Smoke runs of the cross-check and scaling scripts under scripts/, one
+of them under `python -O`, and of the benchmark's tracer."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,19 @@ def test_crosscheck_random_finds_no_mismatch(capsys, extra):
     argv = ["--trials", "20", "--seed", "3"] + extra
     assert load("crosscheck_random").main(argv) == 0
     assert "20 trials, 0 mismatching instances" in capsys.readouterr().out
+
+
+def test_crosscheck_random_finds_no_mismatch_without_asserts():
+    # under -O the sweep's table-key check is stripped, as it is for
+    # users who run that way, so only the answers are compared
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                      env.get("PYTHONPATH"))))
+    argv = ["--trials", "20", "--seed", "3", "--weighted"]
+    done = subprocess.run([sys.executable, "-O", str(SCRIPTS / "crosscheck_random.py")] + argv,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "20 trials, 0 mismatching instances" in done.stdout
 
 
 def test_scaling_path_matches_brute_force(capsys):
